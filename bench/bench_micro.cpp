@@ -21,8 +21,8 @@
 #include "core/failstop.hpp"
 #include "core/malicious.hpp"
 #include "core/messages.hpp"
-#include "core/reliable_broadcast.hpp"
 #include "extensions/rb_engine.hpp"
+#include "extensions/reliable_broadcast.hpp"
 #include "runtime/parallel_series.hpp"
 #include "runtime/scenario_series.hpp"
 #include "runtime/seeding.hpp"
@@ -78,10 +78,10 @@ void BM_EncodeDecodeMajorityMsg(benchmark::State& state) {
 BENCHMARK(BM_EncodeDecodeMajorityMsg);
 
 void BM_EncodeDecodeRbMsg(benchmark::State& state) {
-  const core::RbMsg msg{.kind = core::RbMsg::Kind::ready, .value = Value::one};
+  const ext::RbMsg msg{.kind = ext::RbMsg::Kind::ready, .value = Value::one};
   for (auto _ : state) {
     const Bytes buf = msg.encode();
-    benchmark::DoNotOptimize(core::RbMsg::decode(buf));
+    benchmark::DoNotOptimize(ext::RbMsg::decode(buf));
   }
 }
 BENCHMARK(BM_EncodeDecodeRbMsg);

@@ -98,5 +98,6 @@ int main(int argc, char** argv) {
   if (const auto origin = replicas[0]->winning_origin()) {
     std::cout << "winning proposer: replica " << *origin << "\n";
   }
-  return all_same ? 0 : 1;
+  // An unconverged run "agrees" only on <undecided>; fail it too.
+  return all_same && result.status == sim::RunStatus::all_decided ? 0 : 1;
 }

@@ -5,13 +5,14 @@
 // A 7-process system where the designated sender is compromised and tells
 // half the system "0" and the other half "1". The echo/ready quorums
 // guarantee that correct processes never deliver different values; with a
-// correct sender, everyone delivers its value.
+// correct sender, everyone delivers its value. Exits nonzero if any run
+// splits the correct processes' deliveries.
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
 
-#include "core/reliable_broadcast.hpp"
+#include "extensions/reliable_broadcast.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
@@ -23,25 +24,26 @@ class TwoFacedSender final : public sim::Process {
   void on_start(sim::Context& ctx) override {
     for (ProcessId q = 0; q < ctx.n(); ++q) {
       const Value v = q < ctx.n() / 2 ? Value::zero : Value::one;
-      ctx.send(q, core::RbMsg{.kind = core::RbMsg::Kind::initial, .value = v}
+      ctx.send(q, ext::RbMsg{.kind = ext::RbMsg::Kind::initial, .value = v}
                       .encode());
     }
   }
   void on_message(sim::Context&, const sim::Envelope&) override {}
 };
 
-void run(bool sender_is_byzantine, std::uint64_t seed) {
+/// Runs one broadcast and prints its deliveries; false on a split.
+bool run(bool sender_is_byzantine, std::uint64_t seed) {
   const std::uint32_t n = 7;
   const core::ConsensusParams params{n, 2};
   std::vector<std::unique_ptr<sim::Process>> procs;
-  std::vector<core::ReliableBroadcast*> correct;
+  std::vector<ext::ReliableBroadcast*> correct;
   for (ProcessId p = 0; p < n; ++p) {
     if (p == 0 && sender_is_byzantine) {
       procs.push_back(std::make_unique<TwoFacedSender>());
       continue;
     }
-    auto rb = core::ReliableBroadcast::make(params, p, /*sender=*/0,
-                                            Value::one);
+    auto rb = ext::ReliableBroadcast::make(params, p, /*sender=*/0,
+                                           Value::one);
     correct.push_back(rb.get());
     procs.push_back(std::move(rb));
   }
@@ -70,6 +72,7 @@ void run(bool sender_is_byzantine, std::uint64_t seed) {
   }
   std::cout << "  (" << delivered << "/" << correct.size() << " delivered, "
             << (consistent ? "consistent" : "SPLIT!") << ")\n";
+  return consistent;
 }
 
 }  // namespace
@@ -78,12 +81,12 @@ int main(int argc, char** argv) {
   const std::uint64_t base =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1;
   std::cout << "Reliable broadcast (n = 7, k = 2), sender = process 0\n\n";
-  run(/*sender_is_byzantine=*/false, base);
+  bool consistent = run(/*sender_is_byzantine=*/false, base);
   for (std::uint64_t seed = base; seed < base + 5; ++seed) {
-    run(/*sender_is_byzantine=*/true, seed);
+    consistent = run(/*sender_is_byzantine=*/true, seed) && consistent;
   }
   std::cout << "\nWith a two-faced sender the quorum intersection argument "
                "guarantees: either nobody delivers, or everyone delivers "
                "the same value — never a split.\n";
-  return 0;
+  return consistent ? 0 : 1;
 }

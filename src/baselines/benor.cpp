@@ -83,10 +83,12 @@ bool BenOrConsensus::report_majority(std::uint32_t count) const noexcept {
 }
 
 std::uint32_t BenOrConsensus::decide_threshold() const noexcept {
+  // rcp-lint: allow(threshold) Ben-Or 1983 decide rule, not a Bracha quorum
   return variant_ == BenOrVariant::crash ? params_.k + 1 : 2 * params_.k + 1;
 }
 
 std::uint32_t BenOrConsensus::adopt_threshold() const noexcept {
+  // rcp-lint: allow(threshold) Ben-Or 1983 adopt rule, not a Bracha quorum
   return variant_ == BenOrVariant::crash ? 1 : params_.k + 1;
 }
 

@@ -148,13 +148,15 @@ void Bracha87::try_advance(sim::Context& ctx) {
       const RbValue leader =
           c.proposal[1] > c.proposal[0] ? kRbValueOne : kRbValueZero;
       const std::uint32_t votes = c.proposal[leader];
-      if (votes > 2 * params_.k) {
+      // Bracha's 2k+1 / k+1 counting: 2k+1 decision proposals hold k+1
+      // correct ones, so every correct process adopts w next round.
+      if (votes >= params_.ready_delivery_threshold()) {
         value_ = value_from_int(leader);
         if (!decision_.has_value()) {
           decision_ = value_;
           ctx.decide(value_);
         }
-      } else if (votes > params_.k) {
+      } else if (votes >= params_.ready_amplification_threshold()) {
         value_ = value_from_int(leader);
       } else {
         value_ = ctx.rng().bernoulli(0.5) ? Value::one : Value::zero;

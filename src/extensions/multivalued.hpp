@@ -3,8 +3,9 @@
 // proves correct:
 //
 //   1. every process reliably broadcasts its (arbitrary-bytes) proposal —
-//      a Bytes-payload Bracha broadcast, so per origin at most one version
-//      is ever delivered anywhere, even from an equivocating proposer;
+//      Bracha broadcast on RbEngine over interned proposal bodies
+//      (ProposalRb), so per origin at most one version is ever delivered
+//      anywhere, even from an equivocating proposer;
 //   2. processes then sweep candidate slots s = 0, 1, 2, ... (slot s
 //      belongs to origin s mod n) and run one instance of the Figure 2
 //      binary protocol per slot, asking "has origin(s)'s proposal been
@@ -34,12 +35,13 @@
 // earlier slot always find live quorums.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
-#include <string>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -47,15 +49,19 @@
 #include "common/types.hpp"
 #include "core/malicious.hpp"
 #include "core/params.hpp"
+#include "extensions/rb_engine.hpp"
 
 namespace rcp::ext {
 
-/// Reliable broadcast of one arbitrary-bytes proposal per origin
-/// (initial/echo/ready with the usual (n+k)/2, k+1, 2k+1 thresholds).
+/// Reliable broadcast of one arbitrary-bytes proposal per origin: one
+/// RbEngine instance per origin (tag 0) whose values are indices into a
+/// per-origin table of interned proposal bodies. Messages carry the full
+/// bytes, so equal index means equal bytes, with no hashing. A body is
+/// interned only for a vote the engine will count, so each origin holds at
+/// most 2n + 1 bodies and an origin >= n never creates state.
 class ProposalRb {
  public:
-  explicit ProposalRb(core::ConsensusParams params) noexcept
-      : params_(params) {}
+  explicit ProposalRb(core::ConsensusParams params);
 
   struct Outcome {
     std::vector<Bytes> to_broadcast;  ///< encoded echo/ready transitions
@@ -76,25 +82,23 @@ class ProposalRb {
 
   [[nodiscard]] std::optional<Bytes> delivered(ProcessId origin) const;
   [[nodiscard]] std::size_t delivered_count() const noexcept {
-    return delivered_.size();
+    return delivered_count_;
+  }
+  /// Distinct proposal bodies interned for `origin` (at most 2n + 1).
+  [[nodiscard]] std::size_t interned_count(ProcessId origin) const noexcept {
+    return origin < bodies_.size() ? bodies_[origin].size() : 0;
   }
 
  private:
-  struct Instance {
-    // Keyed by the raw bytes re-wrapped as std::string (GCC 12's
-    // three-way-compare codegen for vector<std::byte> keys trips a
-    // -Wstringop-overread false positive).
-    std::map<std::string, std::set<ProcessId>> echo_from;
-    std::map<std::string, std::set<ProcessId>> ready_from;
-    std::set<ProcessId> echoers;   ///< one echo counted per echoer
-    std::set<ProcessId> readiers;  ///< one ready counted per readier
-    bool echoed = false;
-    bool ready_sent = false;
-  };
+  /// The table index of `body` for `origin`, appending it on first sight.
+  [[nodiscard]] RbValue intern(ProcessId origin,
+                               std::span<const std::byte> body);
 
-  core::ConsensusParams params_;
-  std::map<ProcessId, Instance> instances_;
-  std::map<ProcessId, Bytes> delivered_;
+  std::uint32_t n_;
+  RbEngine engine_;
+  /// bodies_[origin][v]: the proposal body the engine knows as value v.
+  std::vector<std::vector<Bytes>> bodies_;
+  std::size_t delivered_count_ = 0;
 };
 
 class MultiValuedConsensus final : public sim::Process {
@@ -119,7 +123,7 @@ class MultiValuedConsensus final : public sim::Process {
   }
 
  private:
-  MultiValuedConsensus(core::ConsensusParams params, Bytes proposal) noexcept;
+  MultiValuedConsensus(core::ConsensusParams params, Bytes proposal);
 
   class SlotContext;
 

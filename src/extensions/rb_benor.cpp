@@ -65,8 +65,7 @@ void RbBenOr::try_advance(sim::Context& ctx) {
       }
       RbValue proposal = kRbValueBottom;
       for (const RbValue w : {kRbValueZero, kRbValueOne}) {
-        if (2ULL * counts[w] > static_cast<std::uint64_t>(params_.n) +
-                                   params_.k) {
+        if (params_.accepted_count_decides(counts[w])) {
           proposal = w;
         }
       }
@@ -84,13 +83,15 @@ void RbBenOr::try_advance(sim::Context& ctx) {
     const RbValue leader =
         proposals[1] > proposals[0] ? kRbValueOne : kRbValueZero;
     const std::uint32_t leader_count = proposals[leader];
-    if (leader_count >= 2 * params_.k + 1) {
+    // Bracha's 2k+1 / k+1 counting over RB-delivered proposals: 2k+1 hold
+    // k+1 correct ones, k+1 hold at least one.
+    if (leader_count >= params_.ready_delivery_threshold()) {
       value_ = value_from_int(leader);
       if (!decision_.has_value()) {
         decision_ = value_;
         ctx.decide(value_);
       }
-    } else if (leader_count >= params_.k + 1) {
+    } else if (leader_count >= params_.ready_amplification_threshold()) {
       value_ = value_from_int(leader);
     } else {
       value_ = ctx.rng().bernoulli(0.5) ? Value::one : Value::zero;

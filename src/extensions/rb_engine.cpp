@@ -448,6 +448,23 @@ std::optional<RbValue> RbEngine::delivered(ProcessId origin,
   return slots_[slot].delivered_value;
 }
 
+bool RbEngine::voted(ProcessId sender, ProcessId origin, std::uint64_t tag,
+                     RbxMsg::Kind kind) const {
+  const std::uint32_t slot = find(origin, tag);
+  if (slot == kNil || sender >= params_.n) {
+    return false;
+  }
+  switch (kind) {
+    case RbxMsg::Kind::initial:
+      return sender == origin && slots_[slot].echoed;
+    case RbxMsg::Kind::echo:
+      return echo_voted_.test(slot, sender);
+    case RbxMsg::Kind::ready:
+      return ready_voted_.test(slot, sender);
+  }
+  return false;
+}
+
 void RbEngine::retire_through(ProcessId origin, std::uint64_t tag) {
   if (origin >= params_.n) {
     return;

@@ -1,14 +1,14 @@
 // Multiplexed reliable broadcast: many concurrent Bracha-broadcast
-// instances over one message stream.
+// instances over one message stream, and the tree's only echo/ready tally.
 //
-// The single-shot core/reliable_broadcast.hpp demonstrates the primitive;
-// real protocols (like the 1987 Bracha consensus built on top of it in
-// extensions/bracha87.hpp) need one instance per (origin, tag) — e.g. per
-// sender per round per sub-round — and the replicated KV service
-// (src/service/) runs one instance per client write. The engine owns all
-// per-instance state: echo/ready tallies with per-sender vote gating, the
-// sent-echo/-ready flags, and delivery. For k <= floor((n-1)/3) each
-// instance guarantees:
+// Every reliable-broadcast user runs on it: the single-shot
+// extensions/reliable_broadcast.hpp (one instance), multivalued proposals
+// (one per origin), the 1987 Bracha consensus and RB-Ben-Or (one per
+// sender, round and sub-round), and the KV service in src/service/ (one
+// per client write). The engine owns all per-instance state: echo/ready
+// tallies with per-sender vote gating, the sent-echo/-ready flags, and
+// delivery, with the thresholds from core::ConsensusParams. For
+// k <= floor((n-1)/3) each instance guarantees:
 //   consistency — no two correct processes deliver different values for
 //     the same (origin, tag);
 //   totality    — if any correct process delivers, every correct process
@@ -230,6 +230,12 @@ class RbEngine {
   /// non-decreasing order (the service applies in seq order, so this is
   /// free).
   void retire_through(ProcessId origin, std::uint64_t tag);
+
+  /// True when the live instance (origin, tag) already counted `sender`'s
+  /// vote of `kind` (for an initial: the origin's first one), so handle()
+  /// would drop a repeat. ProposalRb checks it before storing a body.
+  [[nodiscard]] bool voted(ProcessId sender, ProcessId origin,
+                           std::uint64_t tag, RbxMsg::Kind kind) const;
 
   /// Count of live instances (observability / leak checks).
   [[nodiscard]] std::size_t instance_count() const noexcept {

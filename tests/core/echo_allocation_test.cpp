@@ -1,9 +1,10 @@
 // The allocation contract of the Byzantine echo path (docs/PERF.md "Quorum
-// accounting"): once warm, EchoEngine::handle()/advance() and a
-// ReliableBroadcast message perform zero heap allocations, and a running
-// MaliciousConsensus simulation steps allocation-free. The covered source
-// files are listed under [allocation] in tools/lint_rules.toml, so any new
-// allocation fails the build (rcp-lint) *and* this counter.
+// accounting"): once warm, EchoEngine::handle()/advance() perform zero heap
+// allocations, and a running MaliciousConsensus simulation steps
+// allocation-free. (Reliable broadcast is covered with the engine it runs
+// on, in tests/extensions/rb_engine_allocation_test.cpp.) The covered
+// source files are listed under [allocation] in tools/lint_rules.toml, so
+// any new allocation fails the build (rcp-lint) *and* this counter.
 //
 // The binary-wide operator new override counts every allocation; each test
 // snapshots before/after deltas. (Same instrument as
@@ -21,9 +22,7 @@
 #include "core/echo_engine.hpp"
 #include "core/malicious.hpp"
 #include "core/messages.hpp"
-#include "core/reliable_broadcast.hpp"
 #include "sim/simulation.hpp"
-#include "support/fake_context.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -84,40 +83,6 @@ TEST(EchoAllocation, EchoEngineSteadyStateIsAllocationFree) {
   }
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "warm handle()/advance() must not touch the heap";
-}
-
-TEST(EchoAllocation, ReliableBroadcastMessageHandlingIsAllocationFree) {
-  constexpr std::uint32_t kN = 31;
-  constexpr std::uint32_t kK = 3;
-  test::FakeContext ctx(/*self=*/1, kN);
-  auto rb = core::ReliableBroadcast::make({kN, kK}, 1, /*sender=*/0);
-  // The test harness's outbox is the only allocating container in the loop;
-  // give it its capacity up front so the measured path is pure protocol.
-  ctx.sent.reserve(8 * kN);
-  const std::uint64_t before = g_allocations.load();
-  // Full happy path: initial -> echo quorum -> ready amplification ->
-  // delivery. Every insert lands in a flat ProcessSet; every payload fits
-  // the inline Bytes capacity.
-  rb->on_message(ctx, test::FakeContext::envelope(
-                          0, 1,
-                          core::RbMsg{.kind = core::RbMsg::Kind::initial,
-                                      .value = Value::one}
-                              .encode()));
-  for (ProcessId p = 0; p < kN; ++p) {
-    rb->on_message(ctx, test::FakeContext::envelope(
-                            p, 1,
-                            core::RbMsg{.kind = core::RbMsg::Kind::echo,
-                                        .value = Value::one}
-                                .encode()));
-    rb->on_message(ctx, test::FakeContext::envelope(
-                            p, 1,
-                            core::RbMsg{.kind = core::RbMsg::Kind::ready,
-                                        .value = Value::one}
-                                .encode()));
-  }
-  EXPECT_EQ(g_allocations.load() - before, 0u)
-      << "reliable-broadcast message handling must not touch the heap";
-  EXPECT_EQ(rb->delivered(), Value::one);
 }
 
 TEST(EchoAllocation, MaliciousConsensusRunAllocatesOnlyCapacityGrowth) {

@@ -1,5 +1,5 @@
 // Fixture: allocation on the Byzantine echo path. The real tree lists
-// src/core/echo_engine.cpp, reliable_broadcast.cpp and malicious.cpp under
+// src/core/echo_engine.cpp, malicious.cpp and quorum.hpp under
 // [allocation] (tools/lint_rules.toml); this mirrors that coverage with one
 // violation per growth-call class the echo rewrite banned. Expected:
 //   line 10: [hot-alloc] .reserve()

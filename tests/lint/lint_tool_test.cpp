@@ -206,15 +206,16 @@ TEST(LintTool, EchoPathAllocationFixtureMirrorsRealCoverage) {
 TEST(LintTool, ThresholdLiteralsFlagged) {
   const LintRun run = run_lint("src/core/threshold_violation.cpp");
   EXPECT_EQ(run.exit_code, 1) << run.output;
-  for (int line : {6, 7, 8}) {
+  for (int line : {12, 13, 14, 21, 22, 23}) {
     EXPECT_TRUE(has_diag(run,
                          "src/core/threshold_violation.cpp:" +
                              std::to_string(line) + ": error:",
                          "threshold"))
         << run.output;
   }
-  // `(count + 2) / 2` on line 10 is not a quorum shape.
-  EXPECT_EQ(count_rule(run, "threshold"), 3) << run.output;
+  // `(count + 2) / 2` on line 16 and `params_.k + 10` on line 25 are not
+  // quorum shapes.
+  EXPECT_EQ(count_rule(run, "threshold"), 6) << run.output;
 }
 
 TEST(LintTool, SuppressionsSilenceDiagnosticsAndAreCounted) {
@@ -409,10 +410,10 @@ TEST(LintTool, WholeFixtureTreeSummary) {
   EXPECT_EQ(count_rule(run, "determinism"), 5) << run.output;
   EXPECT_EQ(count_rule(run, "determinism-strict"), 2) << run.output;
   EXPECT_EQ(count_rule(run, "hot-alloc"), 8) << run.output;
-  EXPECT_EQ(count_rule(run, "threshold"), 3) << run.output;
+  EXPECT_EQ(count_rule(run, "threshold"), 6) << run.output;
   EXPECT_EQ(count_rule(run, "unused-suppression"), 1) << run.output;
   EXPECT_EQ(count_rule(run, "bad-suppression"), 1) << run.output;
-  EXPECT_NE(run.output.find("rcp-lint: 25 files, 39 error(s), 5 suppression(s) "
+  EXPECT_NE(run.output.find("rcp-lint: 25 files, 42 error(s), 5 suppression(s) "
                             "(5 diagnostic(s) suppressed)"),
             std::string::npos)
       << run.output;
