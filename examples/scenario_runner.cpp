@@ -1,12 +1,11 @@
 // Scenario runner: drive any protocol/adversary combination from the
-// command line, optionally recording the execution schedule for exact
-// replay.
+// command line, optionally recording the execution as an rcp-plan-v1 plan
+// for exact replay.
 //
 //   $ ./scenario_runner --protocol fig2 --n 10 --k 3 --ones 5
-//         --adversary equivocator --seed 7 --record run.sched
-//   $ ./scenario_runner --protocol fig2 --n 10 --k 3 --ones 5
-//         --adversary equivocator --replay run.sched
-//   (both invocations on one line)
+//         --adversary equivocator --seed 7 --record run.plan
+//   (one line)
+//   $ ../tools/rcp-fuzz --replay run.plan
 //
 // Options:
 //   --protocol fig1|fig2|majority   (default fig2)
@@ -16,7 +15,11 @@
 //   --crashes C                     staggered fail-stop crashes (default 0)
 //   --seed S                        (default 1)
 //   --max-steps X                   (default 2'000'000)
-//   --record FILE | --replay FILE   capture / re-drive the schedule
+//   --record FILE                   write the run as an rcp-plan-v1 plan
+//                                   whose expect line pins its digests
+//                                   (replay: rcp-fuzz --replay FILE);
+//                                   refused (exit 2) past the plan caps:
+//                                   n <= 64, max-steps <= 5M, tape <= 2^16
 //   --runs R                        Monte-Carlo series of R trials
 //                                   (default 1: single run shown in full)
 //   --threads N                     worker threads for --runs > 1
@@ -30,11 +33,11 @@
 //                                   --data-dir (default: the checked-in
 //                                   tests/data), then exit
 //   --data-dir DIR                  where --list-scenarios looks for
-//                                   *.plan / *.schedule goldens
+//                                   *.plan goldens
 //
 // The RCP_BENCH_RUNS environment variable overrides the trial count like
 // it does for the bench harnesses (the perf-smoke ctest label sets it
-// to 2), except when --record/--replay pin a single execution.
+// to 2), except when --record pins a single execution.
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
@@ -48,11 +51,12 @@
 #include "adversary/scenario.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "fuzz/digest.hpp"
 #include "fuzz/plan.hpp"
+#include "fuzz/tape.hpp"
 #include "runtime/progress.hpp"
 #include "runtime/scenario_series.hpp"
 #include "runtime/thread_control.hpp"
-#include "sim/replay.hpp"
 
 namespace {
 
@@ -68,7 +72,6 @@ struct Options {
   std::uint64_t seed = 1;
   std::uint64_t max_steps = 2'000'000;
   std::string record_path;
-  std::string replay_path;
   std::uint32_t runs = 1;
   std::uint32_t threads = 0;  // 0: runtime::default_threads()
   bool progress = false;
@@ -82,7 +85,7 @@ int usage(const char* argv0) {
             << " [--protocol fig1|fig2|majority] [--n N] [--k K] [--ones M]\n"
                "       [--adversary none|silent|equivocator|balancer|babbler]\n"
                "       [--crashes C] [--seed S] [--max-steps X]\n"
-               "       [--record FILE | --replay FILE]\n"
+               "       [--record FILE]\n"
                "       [--runs R] [--threads N] [--progress] [--json FILE]\n"
                "       [--list-scenarios] [--data-dir DIR]\n";
   return 2;
@@ -151,10 +154,6 @@ std::optional<Options> parse(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
       opt.record_path = v;
-    } else if (flag == "--replay") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.replay_path = v;
     } else if (flag == "--runs") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
@@ -184,7 +183,7 @@ std::optional<Options> parse(int argc, char** argv) {
 
 /// The --runs > 1 path: a Monte-Carlo series sharded across the trial
 /// pool, seeds derived per trial from --seed, aggregates printed at the
-/// end. Recording/replay is single-execution by nature and is rejected.
+/// end. Recording is single-execution by nature and is rejected.
 int run_series_mode(const Options& opt, const adversary::Scenario& s,
                     std::uint32_t k, int argc, char** argv) {
   runtime::SeriesConfig config;
@@ -233,7 +232,7 @@ int run_series_mode(const Options& opt, const adversary::Scenario& s,
 
 /// --list-scenarios: the built-in digest-pinned registry plus every
 /// golden file under the data directory, with enough shape information
-/// to pick one for --replay / rcp-fuzz --replay.
+/// to pick one for rcp-fuzz --replay.
 int list_scenarios(const std::string& data_dir) {
   namespace fs = std::filesystem;
 
@@ -252,23 +251,16 @@ int list_scenarios(const std::string& data_dir) {
   builtins.print(std::cout);
 
   std::vector<fs::path> plans;
-  std::vector<fs::path> schedules;
   if (fs::is_directory(data_dir)) {
     for (const auto& entry : fs::directory_iterator(data_dir)) {
-      if (!entry.is_regular_file()) {
-        continue;
-      }
-      if (entry.path().extension() == ".plan") {
+      if (entry.is_regular_file() && entry.path().extension() == ".plan") {
         plans.push_back(entry.path());
-      } else if (entry.path().extension() == ".schedule") {
-        schedules.push_back(entry.path());
       }
     }
   } else {
     std::cerr << "warning: data dir not found: " << data_dir << "\n";
   }
   std::sort(plans.begin(), plans.end());
-  std::sort(schedules.begin(), schedules.end());
 
   std::cout << "\ngolden plans in " << data_dir
             << " (replay: rcp-fuzz --replay FILE, live: --nemesis FILE):\n";
@@ -295,23 +287,6 @@ int list_scenarios(const std::string& data_dir) {
     }
   }
   table.print(std::cout);
-
-  std::cout << "\nrecorded schedules in " << data_dir
-            << " (replay: --replay FILE):\n";
-  Table sched({"file", "steps"});
-  for (const fs::path& path : schedules) {
-    std::ifstream in(path);
-    try {
-      const sim::Schedule schedule = sim::Schedule::load(in);
-      sched.row()
-          .cell(path.filename().string())
-          .cell(std::to_string(schedule.size()));
-    } catch (const std::exception& e) {
-      std::cerr << path.filename().string() << ": " << e.what() << "\n";
-      return 1;
-    }
-  }
-  sched.print(std::cout);
   return 0;
 }
 
@@ -326,9 +301,9 @@ int main(int argc, char** argv) {
   if (opt.list_scenarios) {
     return list_scenarios(opt.data_dir);
   }
-  if (opt.record_path.empty() && opt.replay_path.empty()) {
+  if (opt.record_path.empty()) {
     // RCP_BENCH_RUNS overrides the trial count (perf-smoke sets it to 2);
-    // record/replay pin a single execution and are left alone.
+    // --record pins a single execution and is left alone.
     opt.runs = bench::env_runs(opt.runs);
   }
 
@@ -356,9 +331,9 @@ int main(int argc, char** argv) {
   }
 
   if (opt.runs > 1) {
-    if (!opt.record_path.empty() || !opt.replay_path.empty()) {
-      std::cerr << "--record/--replay capture one execution; they cannot be "
-                   "combined with --runs > 1\n";
+    if (!opt.record_path.empty()) {
+      std::cerr << "--record captures one execution; it cannot be combined "
+                   "with --runs > 1\n";
       return 2;
     }
     return run_series_mode(opt, s, k, argc, argv);
@@ -369,21 +344,23 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<sim::Simulation> simulation;
-  std::shared_ptr<sim::Schedule> recorded;
-  if (!opt.replay_path.empty()) {
-    std::ifstream in(opt.replay_path);
-    if (!in) {
-      std::cerr << "cannot read schedule: " << opt.replay_path << "\n";
+  fuzz::SchedulePlan plan;
+  fuzz::TapeSink tape;
+  fuzz::DigestTrace digest;
+  if (!opt.record_path.empty()) {
+    // Refuse up front what the plan format cannot hold (n, max-steps).
+    plan = fuzz::to_plan(s);
+    try {
+      plan.validate();
+    } catch (const std::exception& e) {
+      std::cerr << "--record: " << e.what() << "\n";
       return 2;
     }
-    auto replay = sim::make_replay_policies(sim::Schedule::load(in));
-    simulation = adversary::build(s, std::move(replay.delivery),
-                                  std::move(replay.scheduler));
-  } else if (!opt.record_path.empty()) {
-    auto rec = sim::make_recording_policies();
-    recorded = rec.schedule;
+    auto rec = fuzz::make_recording_policies();
+    tape = rec.tape;
     simulation = adversary::build(s, std::move(rec.delivery),
                                   std::move(rec.scheduler));
+    simulation->set_trace(&digest);
   } else {
     simulation = adversary::build(s);
   }
@@ -414,11 +391,27 @@ int main(int argc, char** argv) {
   std::cout << "agreement: "
             << (simulation->agreement_holds() ? "holds" : "VIOLATED") << "\n";
 
-  if (recorded != nullptr) {
+  if (tape != nullptr) {
+    if (tape->size() > fuzz::kMaxTape) {
+      std::cerr << "--record: the run took " << tape->size()
+                << " tape values, over the plan cap of " << fuzz::kMaxTape
+                << "\n";
+      return 2;
+    }
+    plan.tape = std::move(*tape);
+    plan.expect = {.present = true,
+                   .status = result.status,
+                   .steps = result.steps,
+                   .trace_digest = digest.hash(),
+                   .state_digest = fuzz::state_digest(*simulation)};
     std::ofstream out(opt.record_path);
-    recorded->save(out);
-    std::cout << "schedule : " << recorded->size() << " steps -> "
-              << opt.record_path << "\n";
+    out << plan.serialize();
+    if (!out) {
+      std::cerr << "--record: cannot write " << opt.record_path << "\n";
+      return 2;
+    }
+    std::cout << "plan     : " << plan.tape.size() << " tape values -> "
+              << opt.record_path << " (replay: rcp-fuzz --replay FILE)\n";
   }
 
   bench::ThroughputMeter meter;

@@ -8,7 +8,6 @@ namespace rcp::fuzz {
 
 namespace {
 
-constexpr std::size_t kMaxTape = 1 << 16;
 constexpr std::size_t kMaxMutMoves = 8;
 constexpr std::size_t kMaxMutCrashes = 4;
 

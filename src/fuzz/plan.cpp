@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -18,7 +19,6 @@ namespace {
 // execute: the fuzzer runs thousands of plans per budget, and a parse-time
 // bound beats an OOM or a multi-minute outlier mid-batch.
 constexpr std::uint32_t kMaxN = 64;
-constexpr std::size_t kMaxTape = 1 << 16;
 constexpr std::uint64_t kMaxSteps = 5'000'000;
 constexpr std::size_t kMaxMoves = 64;
 constexpr std::uint32_t kMaxPhiWeight = 200;
@@ -46,6 +46,28 @@ std::uint64_t parse_u64(std::string_view token, std::size_t line_no,
                       "'");
   }
   return v;
+}
+
+/// parse_u64 narrowed to the field's type: a value that does not fit is
+/// rejected, never truncated.
+template <typename T>
+T parse_uint(std::string_view token, std::size_t line_no, const char* what) {
+  const std::uint64_t v = parse_u64(token, line_no, what);
+  if (v > std::numeric_limits<T>::max()) {
+    fail(line_no, std::string(what) + " out of range: '" + std::string(token) +
+                      "'");
+  }
+  return static_cast<T>(v);
+}
+
+/// A 0/1 consensus value (value_from_int would map any nonzero to one).
+Value parse_value(std::string_view token, std::size_t line_no,
+                  const char* what) {
+  if (token != "0" && token != "1") {
+    fail(line_no, std::string(what) + " must be 0 or 1: '" +
+                      std::string(token) + "'");
+  }
+  return token == "1" ? Value::one : Value::zero;
 }
 
 /// Splits a line into whitespace-separated tokens.
@@ -220,31 +242,31 @@ SchedulePlan SchedulePlan::parse(std::istream& in) {
     }
     const std::string_view key = toks[0];
     const auto arg_count = toks.size() - 1;
-    if (key == "protocol") {
+    // The argument of a single-value key.
+    const auto arg = [&]() -> std::string_view {
       if (arg_count != 1) {
-        fail(line_no, "protocol takes one argument");
+        fail(line_no, std::string(key) + " takes one argument");
       }
-      if (toks[1] == "fig1") {
+      return toks[1];
+    };
+    if (key == "protocol") {
+      const std::string_view name = arg();
+      if (name == "fig1") {
         plan.spec.protocol = adversary::ProtocolKind::fail_stop;
-      } else if (toks[1] == "fig2") {
+      } else if (name == "fig2") {
         plan.spec.protocol = adversary::ProtocolKind::malicious;
-      } else if (toks[1] == "majority") {
+      } else if (name == "majority") {
         plan.spec.protocol = adversary::ProtocolKind::majority;
       } else {
-        fail(line_no, "unknown protocol '" + std::string(toks[1]) + "'");
+        fail(line_no, "unknown protocol '" + std::string(name) + "'");
       }
     } else if (key == "n") {
-      plan.spec.params.n =
-          static_cast<std::uint32_t>(parse_u64(toks[1], line_no, "n"));
+      plan.spec.params.n = parse_uint<std::uint32_t>(arg(), line_no, "n");
     } else if (key == "k") {
-      plan.spec.params.k =
-          static_cast<std::uint32_t>(parse_u64(toks[1], line_no, "k"));
+      plan.spec.params.k = parse_uint<std::uint32_t>(arg(), line_no, "k");
     } else if (key == "inputs") {
-      if (arg_count != 1) {
-        fail(line_no, "inputs takes one bitstring");
-      }
       plan.spec.inputs.clear();
-      for (const char c : toks[1]) {
+      for (const char c : arg()) {
         if (c != '0' && c != '1') {
           fail(line_no, "inputs must be 0/1");
         }
@@ -270,30 +292,26 @@ SchedulePlan SchedulePlan::parse(std::istream& in) {
       }
       plan.spec.byzantine_ids.clear();
       for (std::size_t i = 2; i < toks.size(); ++i) {
-        plan.spec.byzantine_ids.push_back(static_cast<ProcessId>(
-            parse_u64(toks[i], line_no, "byzantine id")));
+        plan.spec.byzantine_ids.push_back(
+            parse_uint<ProcessId>(toks[i], line_no, "byzantine id"));
       }
     } else if (key == "move") {
       if (arg_count != 4) {
         fail(line_no, "move takes low high split256 echo_mode");
       }
       adversary::ScriptedMove m;
-      m.low_value = value_from_int(
-          static_cast<int>(parse_u64(toks[1], line_no, "move low")));
-      m.high_value = value_from_int(
-          static_cast<int>(parse_u64(toks[2], line_no, "move high")));
-      m.split256 = static_cast<std::uint8_t>(
-          parse_u64(toks[3], line_no, "move split256") & 0xff);
-      m.echo_mode = static_cast<std::uint8_t>(
-          parse_u64(toks[4], line_no, "move echo_mode"));
+      m.low_value = parse_value(toks[1], line_no, "move low");
+      m.high_value = parse_value(toks[2], line_no, "move high");
+      m.split256 = parse_uint<std::uint8_t>(toks[3], line_no, "move split256");
+      m.echo_mode =
+          parse_uint<std::uint8_t>(toks[4], line_no, "move echo_mode");
       plan.spec.moves.push_back(m);
     } else if (key == "crash-step" || key == "crash-phase") {
       if (arg_count != 2) {
         fail(line_no, "crash takes victim and when");
       }
       adversary::CrashEvent c;
-      c.victim =
-          static_cast<ProcessId>(parse_u64(toks[1], line_no, "crash victim"));
+      c.victim = parse_uint<ProcessId>(toks[1], line_no, "crash victim");
       c.by_phase = key == "crash-phase";
       if (c.by_phase) {
         c.at_phase = parse_u64(toks[2], line_no, "crash phase");
@@ -302,27 +320,30 @@ SchedulePlan SchedulePlan::parse(std::istream& in) {
       }
       plan.spec.crashes.push_back(c);
     } else if (key == "seed") {
-      plan.spec.seed = parse_u64(toks[1], line_no, "seed");
+      plan.spec.seed = parse_u64(arg(), line_no, "seed");
     } else if (key == "max-steps") {
-      plan.spec.max_steps = parse_u64(toks[1], line_no, "max-steps");
+      plan.spec.max_steps = parse_u64(arg(), line_no, "max-steps");
     } else if (key == "phi-weight") {
       plan.spec.phi_weight =
-          static_cast<std::uint32_t>(parse_u64(toks[1], line_no, "phi-weight"));
+          parse_uint<std::uint32_t>(arg(), line_no, "phi-weight");
     } else if (key == "net-drop-permille") {
-      plan.spec.net_drop_permille = static_cast<std::uint32_t>(
-          parse_u64(toks[1], line_no, "net-drop-permille"));
+      plan.spec.net_drop_permille =
+          parse_uint<std::uint32_t>(arg(), line_no, "net-drop-permille");
     } else if (key == "net-delay-max-ms") {
-      plan.spec.net_delay_max_ms = static_cast<std::uint32_t>(
-          parse_u64(toks[1], line_no, "net-delay-max-ms"));
+      plan.spec.net_delay_max_ms =
+          parse_uint<std::uint32_t>(arg(), line_no, "net-delay-max-ms");
     } else if (key == "net-disconnects") {
-      plan.spec.net_disconnects = static_cast<std::uint32_t>(
-          parse_u64(toks[1], line_no, "net-disconnects"));
+      plan.spec.net_disconnects =
+          parse_uint<std::uint32_t>(arg(), line_no, "net-disconnects");
     } else if (key == "tape-seed") {
-      plan.tape_seed = parse_u64(toks[1], line_no, "tape-seed");
+      plan.tape_seed = parse_u64(arg(), line_no, "tape-seed");
     } else if (key == "tape") {
       for (std::size_t i = 1; i < toks.size(); ++i) {
-        plan.tape.push_back(static_cast<std::uint32_t>(
-            parse_u64(toks[i], line_no, "tape value")));
+        if (plan.tape.size() == kMaxTape) {
+          fail(line_no, "tape longer than " + std::to_string(kMaxTape));
+        }
+        plan.tape.push_back(
+            parse_uint<std::uint32_t>(toks[i], line_no, "tape value"));
       }
     } else if (key == "expect") {
       if (arg_count != 4) {
@@ -451,6 +472,20 @@ adversary::Scenario to_scenario(const SchedulePlan& plan) {
   s.seed = plan.spec.seed;
   s.max_steps = plan.spec.max_steps;
   return s;
+}
+
+SchedulePlan to_plan(const adversary::Scenario& scenario) {
+  SchedulePlan plan;
+  plan.spec.protocol = scenario.protocol;
+  plan.spec.params = scenario.params;
+  plan.spec.inputs = scenario.inputs;
+  plan.spec.byzantine_ids = scenario.byzantine_ids;
+  plan.spec.byzantine_kind = scenario.byzantine_kind;
+  plan.spec.moves = scenario.scripted_moves;
+  plan.spec.crashes = scenario.crashes.events();
+  plan.spec.seed = scenario.seed;
+  plan.spec.max_steps = scenario.max_steps;
+  return plan;
 }
 
 std::unique_ptr<sim::Simulation> build(const SchedulePlan& plan) {

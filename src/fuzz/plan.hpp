@@ -16,6 +16,7 @@
 // a plan is a full golden regression test.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -29,6 +30,10 @@
 #include "sim/simulation.hpp"
 
 namespace rcp::fuzz {
+
+/// Longest explicit tape a plan may carry (validate() rejects more; the
+/// mutator truncates to it).
+inline constexpr std::size_t kMaxTape = 1 << 16;
 
 /// Everything about the system under test except the schedule itself.
 struct PlanSpec {
@@ -88,6 +93,10 @@ struct SchedulePlan {
 
 /// Plan -> the scenario vocabulary the adversary layer builds from.
 [[nodiscard]] adversary::Scenario to_scenario(const SchedulePlan& plan);
+
+/// The inverse of to_scenario: a plan with an empty tape, tape seed 0 and
+/// the default phi weight. The result is not validated.
+[[nodiscard]] SchedulePlan to_plan(const adversary::Scenario& scenario);
 
 /// Builds the simulation with the plan's tape driving both policies.
 [[nodiscard]] std::unique_ptr<sim::Simulation> build(const SchedulePlan& plan);

@@ -16,14 +16,26 @@
 //              index    = (v >> 8) % |mailbox| otherwise
 // phi models the paper's arbitrarily long transmission delay, i.e. the
 // drop/delay decisions of the schedule; runs stay bounded by max_steps.
+//
+// Recording inverts the decode: Recording{Scheduler,Delivery} wrap any
+// policy pair and append, per decision, the value the tape halves decode
+// back to the same choice, so every run — whatever policies drove it — is
+// replayable as an rcp-plan-v1 plan:
+//   actor at eligible index i  ->  i
+//   delivered message          ->  (j << 8) | 0xff, j its mailbox index
+//                                  under TapeDelivery's swap-remove layout
+//                                  (0xff >= every legal phi_weight)
+//   phi                        ->  0 (needs the plan's phi_weight > 0)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/delivery.hpp"
 #include "sim/scheduler.hpp"
@@ -113,6 +125,107 @@ struct TapePolicies {
   out.delivery = std::make_unique<TapeDelivery>(cursor, phi_weight);
   out.scheduler = std::make_unique<TapeScheduler>(cursor);
   out.cursor = std::move(cursor);
+  return out;
+}
+
+/// Tape values appended by the recording policies.
+using TapeSink = std::shared_ptr<std::vector<std::uint32_t>>;
+
+/// Recording half of the scheduler: the inner policy picks, the tape gets
+/// the actor's index in `eligible`.
+class RecordingScheduler final : public sim::SchedulerPolicy {
+ public:
+  RecordingScheduler(std::unique_ptr<sim::SchedulerPolicy> inner,
+                     TapeSink tape) noexcept
+      : inner_(std::move(inner)), tape_(std::move(tape)) {}
+
+  [[nodiscard]] ProcessId pick(std::span<const ProcessId> eligible,
+                               Rng& rng) override {
+    const ProcessId actor = inner_->pick(eligible, rng);
+    const auto at = std::find(eligible.begin(), eligible.end(), actor);
+    RCP_INVARIANT(at != eligible.end(), "scheduler picked an ineligible actor");
+    tape_->push_back(static_cast<std::uint32_t>(at - eligible.begin()));
+    return actor;
+  }
+
+ private:
+  std::unique_ptr<sim::SchedulerPolicy> inner_;
+  TapeSink tape_;
+};
+
+/// Recording half of delivery. The recorded run keeps the inner policy's
+/// removal order (FIFO stays FIFO), while a replay swap-removes like every
+/// non-order-preserving policy; a per-receiver shadow of the replay's
+/// mailbox layout (envelope seqs) turns each choice into the index the
+/// replay will see.
+class RecordingDelivery final : public sim::DeliveryPolicy {
+ public:
+  RecordingDelivery(std::unique_ptr<sim::DeliveryPolicy> inner,
+                    TapeSink tape) noexcept
+      : inner_(std::move(inner)), tape_(std::move(tape)) {}
+
+  [[nodiscard]] std::optional<std::size_t> pick(ProcessId receiver,
+                                                const sim::Mailbox& mailbox,
+                                                std::uint64_t now_step,
+                                                Rng& rng) override {
+    const auto choice = inner_->pick(receiver, mailbox, now_step, rng);
+    if (receiver >= layouts_.size()) {
+      layouts_.resize(receiver + 1);
+    }
+    std::vector<std::uint64_t>& layout = layouts_[receiver];
+    // Arrivals since this receiver's last step sit at the back in both
+    // layouts.
+    const auto contents = mailbox.contents();
+    RCP_INVARIANT(layout.size() <= contents.size(),
+                  "mailbox shrank outside a delivery");
+    for (std::size_t i = layout.size(); i < contents.size(); ++i) {
+      layout.push_back(contents[i].seq);
+    }
+    if (!choice.has_value()) {
+      tape_->push_back(0);
+      return choice;
+    }
+    const auto at =
+        std::find(layout.begin(), layout.end(), contents[*choice].seq);
+    RCP_INVARIANT(at != layout.end(), "delivered message missing from layout");
+    const auto j = static_cast<std::size_t>(at - layout.begin());
+    RCP_EXPECT(j < (std::size_t{1} << 24),
+               "mailbox index does not fit a tape value");
+    tape_->push_back(static_cast<std::uint32_t>(j << 8) | 0xffU);
+    *at = layout.back();
+    layout.pop_back();
+    return choice;
+  }
+
+  [[nodiscard]] bool order_preserving() const noexcept override {
+    return inner_->order_preserving();
+  }
+
+ private:
+  std::unique_ptr<sim::DeliveryPolicy> inner_;
+  TapeSink tape_;
+  std::vector<std::vector<std::uint64_t>> layouts_;
+};
+
+/// Both recording halves over one shared tape.
+struct RecordingPolicies {
+  TapeSink tape;
+  std::unique_ptr<sim::DeliveryPolicy> delivery;
+  std::unique_ptr<sim::SchedulerPolicy> scheduler;
+};
+
+/// Wraps the given policies (default: the simulator's uniform delivery and
+/// random scheduler, so recording leaves the run unchanged).
+[[nodiscard]] inline RecordingPolicies make_recording_policies(
+    std::unique_ptr<sim::DeliveryPolicy> delivery = nullptr,
+    std::unique_ptr<sim::SchedulerPolicy> scheduler = nullptr) {
+  RecordingPolicies out;
+  out.tape = std::make_shared<std::vector<std::uint32_t>>();
+  out.delivery = std::make_unique<RecordingDelivery>(
+      delivery ? std::move(delivery) : sim::make_uniform_delivery(), out.tape);
+  out.scheduler = std::make_unique<RecordingScheduler>(
+      scheduler ? std::move(scheduler) : sim::make_random_scheduler(),
+      out.tape);
   return out;
 }
 

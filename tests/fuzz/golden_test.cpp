@@ -1,10 +1,7 @@
-// Golden-scenario round-trip: every file checked into tests/data/ parses,
-// replays, and re-serializes byte-identically.
-//
-//   *.plan     — rcp-plan-v1 scenarios (fuzzer-emitted or hand-written);
-//                plans with an `expect` line are executed and must match.
-//   *.schedule — recorded sim::Schedule files replayed by the trace-digest
-//                suite; load() then save() must reproduce the bytes.
+// Golden-scenario round-trip: every rcp-plan-v1 file checked into
+// tests/data/ (fuzzer-emitted, recorded by `scenario_runner --record`, or
+// hand-written) parses, re-serializes byte-identically, and — when it has
+// an `expect` line — replays to exactly that outcome.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +13,6 @@
 
 #include "fuzz/executor.hpp"
 #include "fuzz/plan.hpp"
-#include "sim/replay.hpp"
 
 namespace rcp::fuzz {
 namespace {
@@ -76,21 +72,6 @@ TEST(GoldenData, EveryPlanReplaysToItsEmbeddedExpectation) {
         << "status=" << status_token(r.status) << " steps=" << r.steps
         << " trace=" << r.trace_digest << " state=" << r.state_digest;
     EXPECT_TRUE(r.agreement);
-  }
-}
-
-TEST(GoldenData, EveryScheduleRoundTripsByteIdentically) {
-  const auto schedules = data_files(".schedule");
-  ASSERT_FALSE(schedules.empty());
-  for (const fs::path& path : schedules) {
-    SCOPED_TRACE(path.filename().string());
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open());
-    const sim::Schedule schedule = sim::Schedule::load(in);
-    EXPECT_GT(schedule.size(), 0u);
-    std::ostringstream out;
-    schedule.save(out);
-    EXPECT_EQ(out.str(), slurp(path));
   }
 }
 

@@ -125,6 +125,62 @@ TEST(Plan, ParseReportsLineNumbers) {
   }
 }
 
+/// A minimal valid plan with `line` as its line 6.
+std::string plan_with(const std::string& line) {
+  return "rcp-plan-v1\nprotocol fig2\nn 7\nk 2\ninputs 0101010\n" + line +
+         "\nend\n";
+}
+
+/// Expects `line` to be rejected with a diagnostic naming line 6.
+void expect_rejected(const std::string& line) {
+  SCOPED_TRACE(line);
+  try {
+    (void)SchedulePlan::parse_string(plan_with(line));
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rcp-plan-v1:6:"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Plan, ParseRejectsSingleValueKeysWithoutExactlyOneArgument) {
+  for (const char* key :
+       {"protocol", "n", "k", "inputs", "seed", "max-steps", "phi-weight",
+        "net-drop-permille", "net-delay-max-ms", "net-disconnects",
+        "tape-seed"}) {
+    expect_rejected(key);
+    expect_rejected(std::string(key) + " 1 1");
+  }
+}
+
+TEST(Plan, ParseRejectsValuesThatDoNotFitTheirField) {
+  // Each of these used to wrap or be masked into a different, valid plan.
+  expect_rejected("n 4294967303");        // was n 7
+  expect_rejected("k 4294967298");        // was k 2
+  expect_rejected("tape 4294967297");     // was tape 1
+  expect_rejected("phi-weight 4294967312");
+  expect_rejected("net-disconnects 4294967296");
+  expect_rejected("move 0 1 300 258");    // was move 0 1 44 2
+  expect_rejected("move 0 1 44 258");
+  expect_rejected("move 2 1 44 2");       // was move 1 1 44 2
+  expect_rejected("byzantine silent 4294967296");
+  expect_rejected("crash-step 4294967297 5");
+  // An oversized tape is cut off at the cap, not read to the end.
+  std::string tape_line = "tape";
+  for (std::size_t i = 0; i <= kMaxTape; ++i) {
+    tape_line += " 1";
+  }
+  expect_rejected(tape_line);
+}
+
+TEST(Plan, FieldMaximaRoundTrip) {
+  SchedulePlan p = rich_plan();
+  p.tape.push_back(0xffffffffU);
+  p.spec.moves.push_back({Value::one, Value::one, 255, 2});
+  const std::string text = p.serialize();
+  EXPECT_EQ(SchedulePlan::parse_string(text).serialize(), text);
+}
+
 TEST(Plan, ParseAcceptsCommentsAndBlankLines) {
   const SchedulePlan q = SchedulePlan::parse_string(
       "# golden scenario\nrcp-plan-v1\n\nprotocol fig1\nn 3\nk 1\n"

@@ -5,9 +5,10 @@
 // The golden digests below were recorded on the vector-payload, full-rescan
 // simulator immediately before the optimization landed: an FNV-1a hash over
 // every trace event (kind, step, actor, peer, payload size, decision) plus a
-// final-state hash (decisions, liveness, mailbox depths, metrics). Any
-// change to the `ready` ordering, the RNG draw sequence, message contents
-// or delivery choices shifts at least one event and changes the digest.
+// final-state hash (decisions, liveness, mailbox depths, metrics) — the
+// digests fuzz/digest.hpp computes for every plan. Any change to the
+// `ready` ordering, the RNG draw sequence, message contents or delivery
+// choices shifts at least one event and changes the digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,56 +24,16 @@
 #include "adversary/scenario.hpp"
 #include "extensions/multivalued.hpp"
 #include "extensions/reliable_broadcast.hpp"
-#include "sim/replay.hpp"
+#include "fuzz/digest.hpp"
+#include "fuzz/executor.hpp"
+#include "fuzz/plan.hpp"
 #include "sim/simulation.hpp"
-#include "sim/trace.hpp"
 
 namespace rcp {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-struct Digest {
-  std::uint64_t h = kFnvOffset;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= kFnvPrime;
-    }
-  }
-};
-
-class DigestTrace final : public sim::TraceSink {
- public:
-  void record(const sim::Event& e) override {
-    d.mix(static_cast<std::uint64_t>(e.kind));
-    d.mix(e.step);
-    d.mix(e.process);
-    d.mix(e.peer);
-    d.mix(e.payload_size);
-    d.mix(e.decision.has_value() ? static_cast<std::uint64_t>(*e.decision)
-                                 : 2);
-  }
-  Digest d;
-};
-
-std::uint64_t state_digest(const sim::Simulation& s) {
-  Digest d;
-  for (ProcessId p = 0; p < s.n(); ++p) {
-    const auto dec = s.decision_of(p);
-    d.mix(dec.has_value() ? static_cast<std::uint64_t>(*dec) : 2);
-    d.mix(s.alive(p) ? 1 : 0);
-    d.mix(s.is_faulty(p) ? 1 : 0);
-    d.mix(s.mailbox_size(p));
-  }
-  d.mix(s.metrics().steps);
-  d.mix(s.metrics().messages_sent);
-  d.mix(s.metrics().messages_delivered);
-  d.mix(s.metrics().phi_steps);
-  d.mix(s.metrics().max_phase);
-  return d.h;
-}
+using fuzz::DigestTrace;
+using fuzz::state_digest;
 
 // The scenarios themselves live in the adversary::builtin_scenarios()
 // registry (shared with `scenario_runner --list-scenarios`); this suite
@@ -154,7 +115,7 @@ void expect_golden(const adversary::Scenario& scenario, const Golden& g) {
   const auto r = sim->run();
   EXPECT_EQ(r.status, sim::RunStatus::all_decided);
   EXPECT_EQ(r.steps, g.steps);
-  EXPECT_EQ(trace.d.h, g.trace);
+  EXPECT_EQ(trace.hash(), g.trace);
   EXPECT_EQ(state_digest(*sim), g.state);
 }
 
@@ -199,7 +160,7 @@ TEST(TraceDigest, ReliableBroadcastTwoFacedSenderMatchesPreFlatQuorumRun) {
   // message trace (all the echo/ready traffic) must be byte-identical.
   EXPECT_EQ(r.status, sim::RunStatus::quiescent);
   EXPECT_EQ(r.steps, kRbTwoFacedN7.steps);
-  EXPECT_EQ(trace.d.h, kRbTwoFacedN7.trace);
+  EXPECT_EQ(trace.hash(), kRbTwoFacedN7.trace);
   EXPECT_EQ(state_digest(sim), kRbTwoFacedN7.state);
 }
 
@@ -218,7 +179,7 @@ TEST(TraceDigest, ReliableBroadcastCorrectSenderMatchesPreFlatQuorumRun) {
   const auto r = sim.run();
   EXPECT_EQ(r.status, sim::RunStatus::all_decided);
   EXPECT_EQ(r.steps, kRbCorrectN10.steps);
-  EXPECT_EQ(trace.d.h, kRbCorrectN10.trace);
+  EXPECT_EQ(trace.hash(), kRbCorrectN10.trace);
   EXPECT_EQ(state_digest(sim), kRbCorrectN10.state);
 }
 
@@ -248,27 +209,28 @@ TEST(TraceDigest, MultiValuedTwoFacedProposerMatchesPreRbEngineRun) {
     EXPECT_EQ(mv->decided_proposal(), correct.front()->decided_proposal());
   }
   EXPECT_EQ(r.steps, kMultiValuedTwoFacedN7.steps);
-  EXPECT_EQ(trace.d.h, kMultiValuedTwoFacedN7.trace);
+  EXPECT_EQ(trace.hash(), kMultiValuedTwoFacedN7.trace);
   EXPECT_EQ(state_digest(sim), kMultiValuedTwoFacedN7.state);
 }
 
-// A schedule captured on the pre-change simulator (every actor choice and
-// delivered seq of the failstop_n5 run) must replay on the optimized
-// simulator without divergence and land on the identical digests.
+// The failstop_n5 run captured on the pre-change simulator (every actor
+// choice and delivery as an rcp-plan-v1 tape) must replay on the optimized
+// simulator and land on the identical digests.
 TEST(TraceDigest, PreChangeRecordedScheduleReplaysByteIdentically) {
   std::ifstream in(std::string(RCP_TEST_DATA_DIR) +
-                   "/pre_change_failstop_n5.schedule");
-  ASSERT_TRUE(in.good()) << "missing checked-in schedule";
-  auto replay = sim::make_replay_policies(sim::Schedule::load(in));
-  auto sim = adversary::build(builtin("failstop_n5"), std::move(replay.delivery),
-                              std::move(replay.scheduler));
-  DigestTrace trace;
-  sim->set_trace(&trace);
-  const auto r = sim->run();
+                   "/pre_change_failstop_n5.plan");
+  ASSERT_TRUE(in.good()) << "missing checked-in plan";
+  const fuzz::SchedulePlan plan = fuzz::SchedulePlan::parse(in);
+  // The plan is the builtin scenario plus the recorded tape.
+  fuzz::SchedulePlan from_builtin = fuzz::to_plan(builtin("failstop_n5"));
+  from_builtin.tape = plan.tape;
+  from_builtin.expect = plan.expect;
+  EXPECT_EQ(from_builtin.serialize(), plan.serialize());
+  const fuzz::ExecResult r = fuzz::execute(plan);
   EXPECT_EQ(r.status, sim::RunStatus::all_decided);
   EXPECT_EQ(r.steps, kFailstopN5.steps);
-  EXPECT_EQ(trace.d.h, kFailstopN5.trace);
-  EXPECT_EQ(state_digest(*sim), kFailstopN5.state);
+  EXPECT_EQ(r.trace_digest, kFailstopN5.trace);
+  EXPECT_EQ(r.state_digest, kFailstopN5.state);
 }
 
 }  // namespace
