@@ -329,6 +329,32 @@ void BM_FullConsensusRunMalicious(benchmark::State& state) {
 }
 BENCHMARK(BM_FullConsensusRunMalicious)->Arg(4)->Arg(7)->Arg(10);
 
+// The delivery path at the perfbench fig2_byzantine instance shape: n
+// processes sized for k = (n-1)/3, two equivocators at fixed seats (one in
+// each half of the id-space split they lie along), random inputs, uniform
+// delivery, one full instance per iteration. items/sec is delivered
+// messages per second — the per-delivery cost (step loop, mailbox, RNG,
+// codec, echo quorums) that tools/check_bench_regression.py gates on.
+void BM_Fig2ByzantineDelivery(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  Rng rng(7);
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    adversary::Scenario s;
+    s.protocol = adversary::ProtocolKind::malicious;
+    s.params = core::ConsensusParams{n, (n - 1) / 3};
+    s.inputs = adversary::random_inputs(n, rng);
+    s.byzantine_ids = {3, n - 4};
+    s.byzantine_kind = adversary::ByzantineKind::equivocator;
+    s.seed = rng.next();
+    const auto sim = adversary::build(s);
+    benchmark::DoNotOptimize(sim->run());
+    delivered += sim->metrics().messages_delivered;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
+}
+BENCHMARK(BM_Fig2ByzantineDelivery)->Arg(16);
+
 void BM_HypergeometricTail(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -7,6 +7,15 @@ namespace rcp::adversary {
 using core::EchoProtocolMsg;
 using core::MajorityMsg;
 
+namespace {
+/// `msg` encoded with value `v`. The two-faced attacks below encode each
+/// of their two values once per call and send every destination a copy.
+[[nodiscard]] Bytes with_value(EchoProtocolMsg msg, Value v) {
+  msg.value = v;
+  return msg.encode();
+}
+}  // namespace
+
 void ByzantineBase::on_start(sim::Context& ctx) {
   started_ = true;
   attack_phase(ctx, 0);
@@ -39,12 +48,13 @@ void ByzantineBase::observe(sim::Context& /*ctx*/, ProcessId /*sender*/,
 
 void EquivocatorByzantine::attack_phase(sim::Context& ctx, Phase t) {
   const std::uint32_t n = params().n;
+  const EchoProtocolMsg initial{
+      .is_echo = false, .from = ctx.self(), .phase = t};
+  const Bytes zero = with_value(initial, Value::zero);
+  const Bytes one = with_value(initial, Value::one);
   for (ProcessId q = 0; q < n; ++q) {
     // rcp-lint: allow(threshold) id-space split for equivocation, not a quorum
-    const Value v = q < n / 2 ? Value::zero : Value::one;
-    ctx.send(q, EchoProtocolMsg{
-                    .is_echo = false, .from = ctx.self(), .value = v, .phase = t}
-                    .encode());
+    ctx.send(q, q < n / 2 ? zero : one);
   }
 }
 
@@ -56,12 +66,13 @@ void EquivocatorByzantine::observe(sim::Context& ctx, ProcessId /*sender*/,
   // Two-faced echoing of other processes' initials: confirm the true value
   // to one half of the system and the opposite value to the other half.
   const std::uint32_t n = params().n;
+  const EchoProtocolMsg echo{
+      .is_echo = true, .from = msg.from, .phase = msg.phase};
+  const Bytes same = with_value(echo, msg.value);
+  const Bytes flipped = with_value(echo, other(msg.value));
   for (ProcessId q = 0; q < n; ++q) {
     // rcp-lint: allow(threshold) id-space split for equivocation, not a quorum
-    const Value v = q < n / 2 ? msg.value : other(msg.value);
-    ctx.send(q, EchoProtocolMsg{
-                    .is_echo = true, .from = msg.from, .value = v, .phase = msg.phase}
-                    .encode());
+    ctx.send(q, q < n / 2 ? same : flipped);
   }
 }
 
@@ -150,11 +161,12 @@ void ScriptedByzantine::attack_phase(sim::Context& ctx, Phase t) {
     return;  // empty script: silent
   }
   const std::uint32_t n = params().n;
+  const EchoProtocolMsg initial{
+      .is_echo = false, .from = ctx.self(), .phase = t};
+  const Bytes low = with_value(initial, move->low_value);
+  const Bytes high = with_value(initial, move->high_value);
   for (ProcessId q = 0; q < n; ++q) {
-    const Value v = below_split(*move, q) ? move->low_value : move->high_value;
-    ctx.send(q, EchoProtocolMsg{
-                    .is_echo = false, .from = ctx.self(), .value = v, .phase = t}
-                    .encode());
+    ctx.send(q, below_split(*move, q) ? low : high);
   }
 }
 
@@ -168,13 +180,13 @@ void ScriptedByzantine::observe(sim::Context& ctx, ProcessId /*sender*/,
     return;
   }
   const std::uint32_t n = params().n;
+  const EchoProtocolMsg echo{
+      .is_echo = true, .from = msg.from, .phase = msg.phase};
+  const Bytes same = with_value(echo, msg.value);
+  const Bytes flipped = with_value(echo, other(msg.value));
   for (ProcessId q = 0; q < n; ++q) {
-    const Value v = move->echo_mode == 1 || below_split(*move, q)
-                        ? msg.value
-                        : other(msg.value);
-    ctx.send(q, EchoProtocolMsg{
-                    .is_echo = true, .from = msg.from, .value = v, .phase = msg.phase}
-                    .encode());
+    ctx.send(q, move->echo_mode == 1 || below_split(*move, q) ? same
+                                                               : flipped);
   }
 }
 

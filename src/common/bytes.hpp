@@ -26,28 +26,27 @@ class ByteWriter {
  public:
   explicit ByteWriter(std::size_t reserve_hint = 16) { out_.reserve(reserve_hint); }
 
-  ByteWriter& u8(std::uint8_t v) {
-    out_.push_back(static_cast<std::byte>(v));
-    return *this;
-  }
-
-  ByteWriter& u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
-    return *this;
-  }
-
-  ByteWriter& u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
-    return *this;
-  }
+  ByteWriter& u8(std::uint8_t v) { return field(v); }
+  ByteWriter& u32(std::uint32_t v) { return field(v); }
+  ByteWriter& u64(std::uint64_t v) { return field(v); }
 
   [[nodiscard]] Bytes take() && { return std::move(out_); }
 
  private:
+  /// Builds the field little-endian in a local buffer (one register after
+  /// store merging) and appends it with one capacity check. Pushing byte
+  /// by byte would re-check capacity and reload the size on every byte,
+  /// since a std::byte store may alias any object.
+  template <typename T>
+  ByteWriter& field(T v) {
+    std::byte le[sizeof(T)]{};
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      le[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+    }
+    out_.append(le, sizeof(T));
+    return *this;
+  }
+
   Bytes out_;
 };
 
@@ -58,28 +57,9 @@ class ByteReader {
   explicit ByteReader(const Payload& payload) noexcept
       : data_(payload.span()) {}
 
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-    }
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-    }
-    return v;
-  }
+  [[nodiscard]] std::uint8_t u8() { return field<std::uint8_t>(); }
+  [[nodiscard]] std::uint32_t u32() { return field<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return field<std::uint64_t>(); }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
@@ -93,6 +73,20 @@ class ByteReader {
   }
 
  private:
+  /// One bounds check per field; the bytes are read through a local
+  /// pointer so the position is stored once, not once per byte.
+  template <typename T>
+  [[nodiscard]] T field() {
+    need(sizeof(T));
+    const std::byte* le = data_.data() + pos_;
+    pos_ += sizeof(T);
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(le[i]) << (8 * i);
+    }
+    return v;
+  }
+
   void need(std::size_t bytes) const {
     if (data_.size() - pos_ < bytes) {
       throw DecodeError("message payload truncated");

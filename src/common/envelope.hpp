@@ -23,8 +23,6 @@ struct Envelope {
   ProcessId sender = 0;
   ProcessId receiver = 0;
   Bytes payload;
-  /// Global step at which the message was sent (for traces/adversaries).
-  std::uint64_t sent_at_step = 0;
   /// Monotone sequence number unique across the whole simulation; makes
   /// delivery order independent of container iteration details.
   std::uint64_t seq = 0;

@@ -4,43 +4,11 @@
 
 namespace rcp {
 
-namespace {
-[[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   // SplitMix64 expansion guarantees a non-zero xoshiro state for any seed.
   std::uint64_t sm = seed;
   for (auto& word : s_) {
     word = splitmix64(sm);
-  }
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  // Lemire-style rejection to remove modulo bias.
-  if (bound == 0) {
-    return 0;  // degenerate; callers check their own preconditions
-  }
-  const std::uint64_t threshold = (~bound + 1) % bound;  // 2^64 mod bound
-  for (;;) {
-    const std::uint64_t r = next();
-    if (r >= threshold) {
-      return r % bound;
-    }
   }
 }
 

@@ -41,7 +41,17 @@ class Rng {
   explicit Rng(std::uint64_t seed) noexcept;
 
   /// Raw 64 random bits.
-  [[nodiscard]] std::uint64_t next() noexcept;
+  [[nodiscard]] std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   result_type operator()() noexcept { return next(); }
   static constexpr result_type min() noexcept { return 0; }
@@ -50,7 +60,24 @@ class Rng {
   }
 
   /// Unbiased uniform draw from [0, bound). Precondition: bound > 0.
-  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept;
+  ///
+  /// Rejection sampling removes modulo bias: raw words below
+  /// threshold = 2^64 mod bound are redrawn. The threshold is always
+  /// below `bound`, so a word r >= bound passes without computing it;
+  /// the division runs only for r < bound, which is rare for the small
+  /// bounds the simulator draws from. The draw sequence is the same
+  /// either way (tests/common/rng_test.cpp pins it).
+  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept {
+    if (bound == 0) {
+      return 0;  // degenerate; callers check their own preconditions
+    }
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= bound || r >= (~bound + 1) % bound) {
+        return r % bound;
+      }
+    }
+  }
 
   /// Uniform draw from [lo, hi] inclusive. Precondition: lo <= hi.
   [[nodiscard]] std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
@@ -82,6 +109,11 @@ class Rng {
       std::uint32_t universe, std::uint32_t count);
 
  private:
+  [[nodiscard]] static constexpr std::uint64_t rotl(std::uint64_t x,
+                                                    int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -716,7 +716,6 @@ void Node::deliver_data(PeerLink& link, Frame&& frame) {
   env.sender = link.peer();  // handshake-authenticated, never payload bytes
   env.receiver = cfg_.id;
   env.payload = std::move(frame.payload);
-  env.sent_at_step = 0;
   env.seq = frame.seq;
   LoopContext ctx(*this);
   try {
@@ -764,7 +763,6 @@ void Node::send_from_process(ProcessId to, Bytes payload) {
     env.sender = cfg_.id;
     env.receiver = cfg_.id;
     env.payload = std::move(payload);
-    env.sent_at_step = 0;
     env.seq = ++local_seq_;
     local_inbox_.push_back(std::move(env));
     return;

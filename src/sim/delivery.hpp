@@ -30,7 +30,10 @@ class DeliveryPolicy {
       ProcessId receiver, const Mailbox& mailbox, std::uint64_t now_step,
       Rng& rng) = 0;
 
-  /// True if take() must preserve arrival order for this policy.
+  /// True if take() must preserve arrival order for this policy. Must be
+  /// constant for the policy's lifetime: Simulation reads it once at
+  /// construction. Every policy returns a constant; wrappers (the fuzz
+  /// recorder) forward their inner policy's constant.
   [[nodiscard]] virtual bool order_preserving() const noexcept { return false; }
 };
 

@@ -7,32 +7,14 @@
 
 namespace rcp::sim {
 
-Envelope& Mailbox::emplace() {
-  if (head_ > 0 && messages_.size() == messages_.capacity()) {
-    // Recycle the consumed prefix instead of growing: slide the live
-    // region to the front. Steady-state mailboxes stop allocating here.
-    std::move(messages_.begin() + static_cast<std::ptrdiff_t>(head_),
-              messages_.end(), messages_.begin());
-    // rcp-lint: allow(hot-alloc) shrinking resize recycles in place; no growth
-    messages_.resize(messages_.size() - head_);
-    head_ = 0;
-  }
-  // rcp-lint: allow(hot-alloc) ring growth until steady state (allocation_test)
-  return messages_.emplace_back();
-}
-
-Envelope Mailbox::take(std::size_t index) {
-  RCP_EXPECT(index < size(), "mailbox take out of range");
-  const std::size_t at = head_ + index;
-  Envelope env = std::move(messages_[at]);
-  if (at + 1 != messages_.size()) {
-    messages_[at] = std::move(messages_.back());
-  }
-  messages_.pop_back();
-  if (head_ == messages_.size()) {
-    clear();
-  }
-  return env;
+void Mailbox::compact() {
+  // Recycle the consumed prefix instead of growing: slide the live region
+  // to the front. Steady-state mailboxes stop allocating here.
+  std::move(messages_.begin() + static_cast<std::ptrdiff_t>(head_),
+            messages_.end(), messages_.begin());
+  // rcp-lint: allow(hot-alloc) shrinking resize recycles in place; no growth
+  messages_.resize(messages_.size() - head_);
+  head_ = 0;
 }
 
 Envelope Mailbox::take_front_preserving(std::size_t index) {

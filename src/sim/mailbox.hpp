@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/envelope.hpp"
+#include "common/error.hpp"
 
 namespace rcp::sim {
 
@@ -31,7 +32,13 @@ class Mailbox {
   /// Appends a default Envelope and returns it for in-place filling —
   /// lets the broadcast fan-out write each copy straight into the buffer
   /// slot instead of moving a stack temporary in.
-  [[nodiscard]] Envelope& emplace();
+  [[nodiscard]] Envelope& emplace() {
+    if (head_ > 0 && messages_.size() == messages_.capacity()) {
+      compact();
+    }
+    // rcp-lint: allow(hot-alloc) grows until steady state (allocation_test)
+    return messages_.emplace_back();
+  }
 
   [[nodiscard]] bool empty() const noexcept {
     return head_ == messages_.size();
@@ -48,7 +55,19 @@ class Mailbox {
   /// Removes and returns the message at `index`. Order of the remaining
   /// messages is *not* preserved (swap-remove); delivery policies that care
   /// about arrival order must use take_front_preserving().
-  [[nodiscard]] Envelope take(std::size_t index);
+  [[nodiscard]] Envelope take(std::size_t index) {
+    RCP_EXPECT(index < size(), "mailbox take out of range");
+    const std::size_t at = head_ + index;
+    Envelope env = std::move(messages_[at]);
+    if (at + 1 != messages_.size()) {
+      messages_[at] = std::move(messages_.back());
+    }
+    messages_.pop_back();
+    if (head_ == messages_.size()) {
+      clear();
+    }
+    return env;
+  }
 
   /// Removes and returns the message at `index`, preserving the relative
   /// order of the rest. O(index) — O(1) for the front, which is what
@@ -61,6 +80,9 @@ class Mailbox {
   }
 
  private:
+  /// Slides the live region over the consumed prefix (emplace at capacity).
+  void compact();
+
   std::vector<Envelope> messages_;
   std::size_t head_ = 0;  ///< consumed slots before the live region
 };

@@ -69,6 +69,7 @@ Simulation::Simulation(SimConfig cfg,
       processes_(std::move(processes)),
       delivery_(delivery ? std::move(delivery) : make_uniform_delivery()),
       scheduler_(scheduler ? std::move(scheduler) : make_random_scheduler()),
+      order_preserving_(delivery_->order_preserving()),
       system_rng_(cfg.seed) {
   RCP_EXPECT(cfg_.n > 0, "simulation needs at least one process");
   RCP_EXPECT(processes_.size() == cfg_.n,
@@ -183,6 +184,9 @@ void Simulation::apply_due_step_crashes() {
 }
 
 void Simulation::maybe_apply_phase_crash(ProcessId p) {
+  if (phase_crashes_.empty()) {
+    return;  // the common case: no phase crash scheduled, skip the lookup
+  }
   const auto it = phase_crashes_.find(p);
   if (it != phase_crashes_.end() && processes_[p]->phase() >= it->second) {
     phase_crashes_.erase(it);
@@ -207,7 +211,6 @@ void Simulation::deliver_send(ProcessId from, ProcessId to, Bytes payload) {
   slot.sender = from;
   slot.receiver = to;
   slot.payload = std::move(payload);
-  slot.sent_at_step = metrics_.steps;
   slot.seq = next_seq_++;
   if (was_empty && alive_[to]) {
     eligible_insert(to);
@@ -241,7 +244,6 @@ void Simulation::broadcast_send(ProcessId from, const Bytes& payload) {
     slot.sender = from;
     slot.receiver = to;
     slot.payload = payload;
-    slot.sent_at_step = now;
     slot.seq = seq++;
     if (was_empty && alive_[to]) {
       eligible_insert(to);
@@ -302,7 +304,7 @@ bool Simulation::step() {
     }
     processes_[p]->on_null(ctx);
   } else {
-    const Envelope env = delivery_->order_preserving()
+    const Envelope env = order_preserving_
                              ? box.take_front_preserving(*choice)
                              : box.take(*choice);
     if (box.empty()) {

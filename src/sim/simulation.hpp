@@ -142,6 +142,9 @@ class Simulation {
   std::vector<std::unique_ptr<Process>> processes_;
   std::unique_ptr<DeliveryPolicy> delivery_;
   std::unique_ptr<SchedulerPolicy> scheduler_;
+  /// delivery_->order_preserving(), read once: the flag is constant per
+  /// policy (see DeliveryPolicy), so step() need not make a virtual call.
+  bool order_preserving_;
   std::vector<Mailbox> mailboxes_;
   std::vector<std::optional<Value>> decisions_;
   std::vector<bool> alive_;

@@ -11,8 +11,8 @@ sim::Mailbox box_from(std::initializer_list<ProcessId> senders) {
   sim::Mailbox box;
   std::uint64_t seq = 0;
   for (const ProcessId s : senders) {
-    box.push(sim::Envelope{.sender = s, .receiver = 0, .payload = {},
-                           .sent_at_step = 0, .seq = seq++});
+    box.push(
+        sim::Envelope{.sender = s, .receiver = 0, .payload = {}, .seq = seq++});
   }
   return box;
 }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "extensions/rb_engine.hpp"
+#include "extensions/reliable_broadcast.hpp"
 
 namespace rcp::core {
 namespace {
@@ -74,28 +79,123 @@ TEST(Messages, OutOfRangeValueRejected) {
   EXPECT_THROW((void)MajorityMsg::decode(buf), DecodeError);
 }
 
+/// One wire decoder seen as decode-then-re-encode, plus valid encodings
+/// to mutate.
+struct Codec {
+  const char* name;
+  Bytes (*reencode)(const Bytes&);
+  std::vector<Bytes> valid;
+};
+
+std::vector<Codec> all_codecs() {
+  using ext::kRbValueAny;
+  using ext::RbxBatch;
+  using ext::RbxMsg;
+  const std::vector<RbxMsg> batch = {
+      {.kind = RbxMsg::Kind::initial, .origin = 0, .tag = 0, .value = 0},
+      {.kind = RbxMsg::Kind::echo, .origin = 6, .tag = 41, .value = 3},
+      {.kind = RbxMsg::Kind::ready, .origin = 2, .tag = ~0ULL >> 1,
+       .value = 2},
+  };
+  return {
+      {"FailStopMsg",
+       [](const Bytes& b) { return FailStopMsg::decode(b).encode(); },
+       {FailStopMsg{.phase = 42, .value = Value::one, .cardinality = 17}
+            .encode()}},
+      {"EchoProtocolMsg",
+       [](const Bytes& b) { return EchoProtocolMsg::decode(b).encode(); },
+       {EchoProtocolMsg{
+            .is_echo = false, .from = 9, .value = Value::one, .phase = 7}
+            .encode(),
+        EchoProtocolMsg{
+            .is_echo = true, .from = 3, .value = Value::zero, .phase = 1000}
+            .encode()}},
+      {"MajorityMsg",
+       [](const Bytes& b) { return MajorityMsg::decode(b).encode(); },
+       {MajorityMsg{.phase = 3, .value = Value::one}.encode()}},
+      {"RbMsg",
+       [](const Bytes& b) { return ext::RbMsg::decode(b).encode(); },
+       {ext::RbMsg{.kind = RbxMsg::Kind::ready, .value = Value::one}
+            .encode()}},
+      {"RbxMsg",
+       [](const Bytes& b) { return RbxMsg::decode(b).encode(); },
+       {RbxMsg{.kind = RbxMsg::Kind::echo, .origin = 5, .tag = 77,
+               .value = 3}
+            .encode()}},
+      {"RbxMsg(any value)",
+       [](const Bytes& b) { return RbxMsg::decode(b, kRbValueAny).encode(); },
+       {RbxMsg{.kind = RbxMsg::Kind::initial, .origin = 1,
+               .tag = 0x0102030405060708ULL, .value = 0xdeadbeefcafeULL}
+            .encode()}},
+      {"RbxBatch",
+       [](const Bytes& b) {
+         std::vector<RbxMsg> out;
+         RbxBatch::decode_into(b, out);
+         return RbxBatch::encode(out);
+       },
+       {RbxBatch::encode(batch)}},
+      {"RbxBatch(any value)",
+       [](const Bytes& b) {
+         std::vector<RbxMsg> out;
+         RbxBatch::decode_into(b, out, kRbValueAny);
+         return RbxBatch::encode(out);
+       },
+       {RbxBatch::encode(batch)}},
+  };
+}
+
+/// Feeds `input` to the codec: it must either throw DecodeError (any other
+/// exception fails the test) or accept an input it re-encodes byte for
+/// byte — a decoder that accepts two spellings of one message, or
+/// silently drops bytes, fails here.
+void expect_exact_or_rejected(const Codec& codec, const Bytes& input) {
+  Bytes again;
+  try {
+    again = codec.reencode(input);
+  } catch (const DecodeError&) {
+    return;
+  }
+  EXPECT_TRUE(again == input)
+      << codec.name << " accepted " << input.size()
+      << " bytes that do not re-encode to themselves";
+}
+
 TEST(Messages, DecodersNeverCrashOnRandomBytes) {
+  const std::vector<Codec> codecs = all_codecs();
   Rng rng(123);
   for (int trial = 0; trial < 5000; ++trial) {
     Bytes junk(rng.below(20));
     for (auto& b : junk) {
       b = static_cast<std::byte>(rng.below(256));
     }
-    // Every decoder must either succeed or throw DecodeError — nothing else.
-    try {
-      (void)FailStopMsg::decode(junk);
-    } catch (const DecodeError&) {
-    }
-    try {
-      (void)EchoProtocolMsg::decode(junk);
-    } catch (const DecodeError&) {
-    }
-    try {
-      (void)MajorityMsg::decode(junk);
-    } catch (const DecodeError&) {
+    for (const Codec& codec : codecs) {
+      expect_exact_or_rejected(codec, junk);
     }
   }
-  SUCCEED();
+  // Near-valid inputs reach deeper than junk: every valid encoding with
+  // one byte replaced by each of its 256 values, truncated to every
+  // shorter length, and extended by one byte.
+  for (const Codec& codec : codecs) {
+    for (const Bytes& valid : codec.valid) {
+      EXPECT_TRUE(codec.reencode(valid) == valid) << codec.name;
+      for (std::size_t i = 0; i < valid.size(); ++i) {
+        for (int v = 0; v < 256; ++v) {
+          Bytes mutated = valid;
+          mutated[i] = static_cast<std::byte>(v);
+          expect_exact_or_rejected(codec, mutated);
+        }
+      }
+      for (std::size_t len = 0; len < valid.size(); ++len) {
+        expect_exact_or_rejected(codec,
+                                 Bytes(valid.begin(), valid.begin() + len));
+      }
+      for (const int extra : {0x00, 0x01, 0xff}) {
+        Bytes longer = valid;
+        longer.push_back(static_cast<std::byte>(extra));
+        expect_exact_or_rejected(codec, longer);
+      }
+    }
+  }
 }
 
 TEST(Messages, PhaseExtremes) {

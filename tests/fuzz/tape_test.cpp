@@ -75,9 +75,7 @@ TEST(TapeDelivery, DecodesPhiFromLowByteAndIndexFromHighBits) {
   Rng rng(1);
   sim::Mailbox box;
   for (std::uint64_t s = 0; s < 3; ++s) {
-    box.push(Envelope{
-        .sender = 0, .receiver = 1, .payload = {}, .sent_at_step = 0,
-        .seq = s});
+    box.push(Envelope{.sender = 0, .receiver = 1, .payload = {}, .seq = s});
   }
   EXPECT_EQ(delivery.pick(1, box, 0, rng), std::nullopt);
   EXPECT_EQ(delivery.pick(1, box, 0, rng), std::optional<std::size_t>(2));
@@ -90,9 +88,7 @@ TEST(TapeDelivery, ZeroPhiWeightNeverDelays) {
   TapeDelivery delivery(cursor, /*phi_weight=*/0);
   Rng rng(1);
   sim::Mailbox box;
-  box.push(Envelope{
-      .sender = 0, .receiver = 1, .payload = {}, .sent_at_step = 0,
-      .seq = 0});
+  box.push(Envelope{.sender = 0, .receiver = 1, .payload = {}, .seq = 0});
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(delivery.pick(1, box, 0, rng), std::optional<std::size_t>(0));
   }
@@ -104,9 +100,7 @@ TEST(TapePolicies, ShareOneCursor) {
   const ProcessId eligible[] = {0, 1};
   (void)policies.scheduler->pick(eligible, rng);  // consumes tape[0]
   sim::Mailbox box;
-  box.push(Envelope{
-      .sender = 0, .receiver = 1, .payload = {}, .sent_at_step = 0,
-      .seq = 0});
+  box.push(Envelope{.sender = 0, .receiver = 1, .payload = {}, .seq = 0});
   (void)policies.delivery->pick(1, box, 0, rng);  // consumes tape[1]
   EXPECT_EQ(policies.cursor->consumed(), 2u);
 }
@@ -132,9 +126,7 @@ TEST(TapeRecording, EncodesEachChoiceAsTheValueTheDecodeInverts) {
   const ProcessId actor = scheduler.pick(eligible, rng);
   sim::Mailbox box;
   for (std::uint64_t s = 0; s < 3; ++s) {
-    box.push(Envelope{
-        .sender = 0, .receiver = 1, .payload = {}, .sent_at_step = 0,
-        .seq = s});
+    box.push(Envelope{.sender = 0, .receiver = 1, .payload = {}, .seq = s});
   }
   EXPECT_EQ(newest.pick(1, box, 0, rng), std::optional<std::size_t>(2));
   EXPECT_EQ(delayed.pick(1, box, 0, rng), std::nullopt);

@@ -15,7 +15,6 @@ Mailbox box_with(std::initializer_list<std::uint64_t> seqs) {
     box.push(Envelope{.sender = static_cast<ProcessId>(s % 3),
                       .receiver = 0,
                       .payload = {},
-                      .sent_at_step = 0,
                       .seq = s});
   }
   return box;

@@ -8,8 +8,7 @@ namespace rcp::sim {
 namespace {
 
 Envelope env(std::uint64_t seq) {
-  return Envelope{.sender = 0, .receiver = 1, .payload = {}, .sent_at_step = 0,
-                  .seq = seq};
+  return Envelope{.sender = 0, .receiver = 1, .payload = {}, .seq = seq};
 }
 
 TEST(Mailbox, StartsEmpty) {

@@ -53,7 +53,6 @@ class FakeContext final : public sim::Context {
     return sim::Envelope{.sender = sender,
                          .receiver = receiver,
                          .payload = std::move(payload),
-                         .sent_at_step = 0,
                          .seq = 0};
   }
 

@@ -8,9 +8,10 @@ BENCH_BASELINE.json and fails when any tracked series drops below
 Three input formats are understood:
 
 * ``--micro``: google-benchmark ``--benchmark_format=json`` output from
-  bench_micro; entries are matched by benchmark name (``BM_EchoEngine*``
-  and the ``BM_Bitops*`` kernel series) and compared on
-  ``items_per_second`` (echoes/sec; words/sec for kernels), against the
+  bench_micro; entries are matched by benchmark name (``BM_EchoEngine*``,
+  the ``BM_Bitops*`` kernel series and the ``BM_Fig2*`` delivery path)
+  and compared on ``items_per_second`` (echoes/sec; words/sec for
+  kernels; delivered messages/sec for the delivery path), against the
   ``echo_path`` baseline section.
 * ``--x4``: rcp-bench-v1 ``--json`` output from bench_x4_complexity;
   entries are matched by series ``label`` (``echo_path_n*``) and compared
@@ -44,13 +45,13 @@ def load_json(path):
 
 
 def micro_results(path):
-    """Name -> items_per_second for the echo-path and bit-kernel
-    benchmarks in bench_micro."""
+    """Name -> items_per_second for the echo-path, bit-kernel and
+    delivery-path benchmarks in bench_micro."""
     doc = load_json(path)
     return {
         b["name"]: float(b["items_per_second"])
         for b in doc.get("benchmarks", [])
-        if b["name"].startswith(("BM_EchoEngine", "BM_Bitops"))
+        if b["name"].startswith(("BM_EchoEngine", "BM_Bitops", "BM_Fig2"))
         and "items_per_second" in b
     }
 
