@@ -154,5 +154,28 @@ TEST(KvServiceSim, DeterministicAcrossRepeatsVariesAcrossSeeds) {
   EXPECT_NE(r1.steps, r3.steps);
 }
 
+TEST(KvServiceSim, BatchedScheduleIsPinned) {
+  // A store digest depends only on each stream's apply order, so a change
+  // that reorders sends (or merges, splits or drops them) can keep every
+  // digest. The step and message counts of a seeded run move with the
+  // schedule itself; they are pinned here. Re-pin only for a change that
+  // means to alter the KV schedule.
+  SimServiceConfig cfg;
+  cfg.params = core::ConsensusParams{7, 2};
+  cfg.shards = 4;
+  cfg.window = 64;
+  cfg.total_ops = 20000;
+  cfg.batching = true;
+  cfg.seed = 1;
+  const SimServiceResult r = run_sim_service(cfg);
+  expect_converged(r);
+  EXPECT_EQ(r.steps, 9475u);
+  EXPECT_EQ(r.messages_sent, 9478u);
+  EXPECT_EQ(r.messages_delivered, 9475u);
+  EXPECT_EQ(r.batches, 1354u);
+  EXPECT_EQ(r.batched_msgs, 294941u);
+  EXPECT_EQ(r.digests[0], 0x7d2a3b148e3bf5eeULL);
+}
+
 }  // namespace
 }  // namespace rcp::service
