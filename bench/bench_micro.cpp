@@ -293,6 +293,79 @@ BENCHMARK(BM_EchoEngineSteadyState)
     ->Arg(301)
     ->Arg(1001);
 
+// Reliable-broadcast ingest, the KV service's per-message layer: every
+// origin runs full instances (its initial, n echoes, n readies, then
+// retire) through one RbEngine, with a rolling window of 64 live instances
+// per origin — an instance opens (initial and echoes) 63 instances before
+// its readies arrive. items/sec is handled messages per second.
+void BM_RbEngineIngest(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  constexpr std::uint64_t kWindow = 64;
+  const core::ConsensusParams params{n, (n - 1) / 3};
+  ext::RbEngine engine(params, static_cast<std::uint32_t>(n * kWindow),
+                       ext::kRbValueAny);
+  const auto feed = [&engine, n](ext::RbxMsg::Kind kind, ProcessId origin,
+                                 std::uint64_t tag) {
+    const ext::RbxMsg msg{
+        .kind = kind, .origin = origin, .tag = tag, .value = tag + 1};
+    if (kind == ext::RbxMsg::Kind::initial) {
+      benchmark::DoNotOptimize(engine.handle(origin, msg));
+      return;
+    }
+    for (ProcessId sender = 0; sender < n; ++sender) {
+      benchmark::DoNotOptimize(engine.handle(sender, msg));
+    }
+  };
+  const auto open = [&feed, n](std::uint64_t tag) {
+    for (ProcessId origin = 0; origin < n; ++origin) {
+      feed(ext::RbxMsg::Kind::initial, origin, tag);
+      feed(ext::RbxMsg::Kind::echo, origin, tag);
+    }
+  };
+  std::uint64_t tag = 0;
+  for (; tag + 1 < kWindow; ++tag) {
+    open(tag);
+  }
+  for (auto _ : state) {
+    open(tag);
+    const std::uint64_t closing = tag + 1 - kWindow;
+    for (ProcessId origin = 0; origin < n; ++origin) {
+      feed(ext::RbxMsg::Kind::ready, origin, closing);
+      engine.retire_through(origin, closing);
+    }
+    ++tag;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n *
+                          (2 * n + 1));
+}
+BENCHMARK(BM_RbEngineIngest)->Arg(7)->Arg(31)->Arg(127);
+
+// The batch decoder on the same path: validate a whole RbxBatch, then read
+// every entry in place. items/sec is entries per second.
+void BM_RbxBatchView(benchmark::State& state) {
+  const auto count = static_cast<std::uint32_t>(state.range(0));
+  std::vector<ext::RbxMsg> msgs;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    msgs.push_back(ext::RbxMsg{.kind = ext::RbxMsg::Kind::echo,
+                               .origin = i % 7,
+                               .tag = i,
+                               .value = 0x0123456789abcdefULL ^ i});
+  }
+  const Bytes frame = ext::RbxBatch::encode(msgs);
+  for (auto _ : state) {
+    const ext::RbxBatch::View batch(frame, ext::kRbValueAny);
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const ext::RbxMsg m = batch[i];
+      sum += m.origin + m.tag + m.value;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          count);
+}
+BENCHMARK(BM_RbxBatchView)->Arg(64)->Arg(1024);
+
 void BM_SimulationStepFailStop(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const std::uint32_t k = (n - 1) / 2;

@@ -7,9 +7,12 @@
 // graceful failure instead of undefined behaviour.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/payload.hpp"
@@ -20,6 +23,36 @@ namespace rcp {
 /// protocol message fits Payload's inline capacity, so encoding and carrying
 /// a message never allocates.
 using Bytes = Payload;
+
+/// Reads an unsigned little-endian T from `p` (any alignment). On a
+/// little-endian host this is one plain load.
+template <typename T>
+[[nodiscard]] inline T load_le(const std::byte* p) noexcept {
+  static_assert(std::is_unsigned_v<T>);
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(p[i]) << (8 * i);
+    }
+  }
+  return v;
+}
+
+/// Writes `v` little-endian to `p` (any alignment); one plain store on a
+/// little-endian host.
+template <typename T>
+inline void store_le(std::byte* p, T v) noexcept {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+    }
+  }
+}
 
 /// Appends fixed-width little-endian integers to a byte buffer.
 class ByteWriter {
@@ -33,16 +66,14 @@ class ByteWriter {
   [[nodiscard]] Bytes take() && { return std::move(out_); }
 
  private:
-  /// Builds the field little-endian in a local buffer (one register after
-  /// store merging) and appends it with one capacity check. Pushing byte
-  /// by byte would re-check capacity and reload the size on every byte,
-  /// since a std::byte store may alias any object.
+  /// Builds the field little-endian in a local buffer and appends it with
+  /// one capacity check. Pushing byte by byte would re-check capacity and
+  /// reload the size on every byte, since a std::byte store may alias any
+  /// object.
   template <typename T>
   ByteWriter& field(T v) {
-    std::byte le[sizeof(T)]{};
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      le[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-    }
+    std::byte le[sizeof(T)];
+    store_le(le, v);
     out_.append(le, sizeof(T));
     return *this;
   }
@@ -73,17 +104,12 @@ class ByteReader {
   }
 
  private:
-  /// One bounds check per field; the bytes are read through a local
-  /// pointer so the position is stored once, not once per byte.
+  /// One bounds check and one load per field.
   template <typename T>
   [[nodiscard]] T field() {
     need(sizeof(T));
-    const std::byte* le = data_.data() + pos_;
+    const T v = load_le<T>(data_.data() + pos_);
     pos_ += sizeof(T);
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(le[i]) << (8 * i);
-    }
     return v;
   }
 

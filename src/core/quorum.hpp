@@ -24,6 +24,7 @@
 // kernels").
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -136,6 +137,14 @@ class BitRows {
         std::span<std::uint64_t>(words_).subspan(first_row * words_per_row_,
                                                  count * words_per_row_),
         0);
+  }
+
+  /// Clears row `row` with a library memset. GCC expands clear_rows' short
+  /// inline path into a rep stos, whose startup costs more than a one-row
+  /// clear; the per-instance engine (extensions/rb_engine.hpp) uses this.
+  void clear_row(std::size_t row) noexcept {
+    std::fill_n(words_.data() + row * words_per_row_, words_per_row_,
+                std::uint64_t{0});
   }
 
   /// Copies the first `rows` rows of `src` into this matrix. Both matrices

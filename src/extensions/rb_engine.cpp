@@ -12,7 +12,6 @@ namespace rcp::ext {
 namespace {
 constexpr std::uint8_t kRbxTagBase = 40;  // 40 initial, 41 echo, 42 ready
 constexpr std::uint32_t kMinCapacity = 64;
-constexpr std::size_t kBatchEntrySize = 1 + 4 + 8 + 8;
 
 /// SplitMix64 finalizer: full-avalanche mix for the (origin, tag) hash.
 constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
@@ -60,7 +59,7 @@ bool RbxBatch::is_batch(const Bytes& payload) noexcept {
 Bytes RbxBatch::encode(std::span<const RbxMsg> msgs) {
   RCP_INVARIANT(!msgs.empty() && msgs.size() <= kMaxMessages,
                 "RbxBatch::encode: 1..kMaxMessages messages");
-  ByteWriter w(1 + 4 + msgs.size() * kBatchEntrySize);
+  ByteWriter w(kHeaderSize + msgs.size() * kEntrySize);
   w.u8(kTagByte).u32(static_cast<std::uint32_t>(msgs.size()));
   for (const RbxMsg& m : msgs) {
     w.u8(static_cast<std::uint8_t>(m.kind)).u32(m.origin).u64(m.tag).u64(
@@ -69,8 +68,7 @@ Bytes RbxBatch::encode(std::span<const RbxMsg> msgs) {
   return std::move(w).take();
 }
 
-void RbxBatch::decode_into(const Bytes& payload, std::vector<RbxMsg>& out,
-                           RbValue max_value) {
+RbxBatch::View::View(const Bytes& payload, RbValue max_value) {
   ByteReader r(payload);
   if (r.u8() != kTagByte) {
     throw DecodeError("not a reliable-broadcast batch");
@@ -79,35 +77,19 @@ void RbxBatch::decode_into(const Bytes& payload, std::vector<RbxMsg>& out,
   if (count == 0 || count > kMaxMessages) {
     throw DecodeError("batch count out of range");
   }
-  if (r.remaining() != static_cast<std::size_t>(count) * kBatchEntrySize) {
+  if (r.remaining() != static_cast<std::size_t>(count) * kEntrySize) {
     throw DecodeError("batch size disagrees with count");
   }
-  // Transactional: a throw on any entry leaves `out` as it came in, so a
-  // caller reusing one scratch vector never feeds phantom messages from a
-  // half-decoded Byzantine frame.
-  const std::size_t base = out.size();
-  try {
-    for (std::uint32_t i = 0; i < count; ++i) {
-      RbxMsg msg;
-      const std::uint8_t kind = r.u8();
-      if (kind > static_cast<std::uint8_t>(RbxMsg::Kind::ready)) {
-        throw DecodeError("batch entry kind out of range");
-      }
-      msg.kind = static_cast<RbxMsg::Kind>(kind);
-      msg.origin = r.u32();
-      msg.tag = r.u64();
-      msg.value = r.u64();
-      if (msg.value > max_value) {
-        throw DecodeError("payload field out of range");
-      }
-      // rcp-lint: allow(hot-alloc) caller-owned scratch, amortized across batches
-      out.push_back(msg);
+  entries_ = payload.span().data() + kHeaderSize;
+  count_ = count;
+  for (std::size_t i = 0; i < count_; ++i) {
+    const RbxMsg msg = (*this)[i];
+    if (msg.kind > RbxMsg::Kind::ready) {
+      throw DecodeError("batch entry kind out of range");
     }
-    r.expect_done();
-  } catch (...) {
-    // rcp-lint: allow(hot-alloc) shrink-only rollback, never allocates
-    out.resize(base);
-    throw;
+    if (msg.value > max_value) {
+      throw DecodeError("payload field out of range");
+    }
   }
 }
 
@@ -221,17 +203,25 @@ std::uint32_t RbEngine::obtain(ProcessId origin, std::uint64_t tag,
   const std::uint32_t slot = free_head_;
   Instance& inst = slots_[slot];
   free_head_ = inst.next;
-  inst = Instance{};
+  // Field by field: `inst = Instance{}` builds a zeroed record and copies
+  // it in (a stack temporary or a rep stos, by compiler) on every new
+  // instance.
   inst.origin = origin;
   inst.tag = tag;
+  inst.echo_lanes_used = 0;
+  inst.ready_lanes_used = 0;
+  inst.echoed = false;
+  inst.has_ready_sent = false;
+  inst.has_delivered = false;
   inst.live = true;
   inst.anchored = anchored;
+  inst.delivered_value = 0;
   if (!anchored) {
     ++unanchored_per_origin_[origin];
   }
   const std::size_t row0 = static_cast<std::size_t>(slot) * lanes_;
-  echo_voted_.clear_rows(slot, 1);
-  ready_voted_.clear_rows(slot, 1);
+  echo_voted_.clear_row(slot);
+  ready_voted_.clear_row(slot);
   std::fill_n(echo_count_.begin() + static_cast<std::ptrdiff_t>(row0), lanes_,
               std::uint16_t{0});
   std::fill_n(ready_count_.begin() + static_cast<std::ptrdiff_t>(row0), lanes_,

@@ -54,7 +54,6 @@
 // tests/extensions/.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -123,19 +122,45 @@ struct RbxBatch {
   /// Hard cap on messages per batch; with 21-byte entries this keeps every
   /// batch far below the transport's 1 MiB frame-body limit.
   static constexpr std::size_t kMaxMessages = 4096;
+  /// Tag byte + count.
+  static constexpr std::size_t kHeaderSize = 1 + 4;
+  /// kind + origin + tag + value.
+  static constexpr std::size_t kEntrySize = 1 + 4 + 8 + 8;
 
   /// True when `payload` starts with the batch tag byte (cheap dispatch
-  /// test; decode_into still fully validates).
+  /// test; View still fully validates).
   [[nodiscard]] static bool is_batch(const Bytes& payload) noexcept;
 
   /// Packs `msgs` (1..kMaxMessages of them) into one payload.
   [[nodiscard]] static Bytes encode(std::span<const RbxMsg> msgs);
 
-  /// Appends the decoded messages to `out`. Throws DecodeError on a bad
-  /// tag byte, an empty/oversized count, a count that disagrees with the
-  /// payload size, or any entry RbxMsg::decode would reject.
-  static void decode_into(const Bytes& payload, std::vector<RbxMsg>& out,
-                          RbValue max_value = kMaxRbValue);
+  /// The batch decoder: validates a whole payload once, then reads each
+  /// entry straight from the payload bytes, with no copy into a buffer.
+  /// A bad entry anywhere rejects the batch before any entry is read, so
+  /// a caller never feeds part of a Byzantine frame. The view points into
+  /// `payload`, which must outlive it and stay unmodified.
+  class View {
+   public:
+    /// Throws DecodeError on a bad tag byte, an empty/oversized count, a
+    /// count that disagrees with the payload size, or any entry
+    /// RbxMsg::decode would reject (kind byte, value above `max_value`).
+    explicit View(const Bytes& payload, RbValue max_value = kMaxRbValue);
+
+    [[nodiscard]] std::size_t size() const noexcept { return count_; }
+
+    /// Entry `i` (< size()).
+    [[nodiscard]] RbxMsg operator[](std::size_t i) const noexcept {
+      const std::byte* e = entries_ + i * kEntrySize;
+      return RbxMsg{.kind = static_cast<RbxMsg::Kind>(e[0]),
+                    .origin = load_le<std::uint32_t>(e + 1),
+                    .tag = load_le<std::uint64_t>(e + 5),
+                    .value = load_le<std::uint64_t>(e + 13)};
+    }
+
+   private:
+    const std::byte* entries_ = nullptr;
+    std::size_t count_ = 0;
+  };
 };
 
 /// Drop counters: Byzantine and stale traffic the engine absorbed without
@@ -181,9 +206,15 @@ class RbEngine {
   /// preserving the vector-ish surface protocol code iterates over.
   class MsgList {
    public:
-    [[nodiscard]] const RbxMsg* begin() const noexcept { return msgs_.data(); }
+    /// Leaves both slots unwritten: push() writes a slot before count_
+    /// covers it. handle() returns a MsgList for every message, dropped
+    /// ones included, and zero-filling the slots was a rep stos on every
+    /// call (docs/PERF.md "Reliable-broadcast ingest cost").
+    MsgList() noexcept {}
+
+    [[nodiscard]] const RbxMsg* begin() const noexcept { return msgs_; }
     [[nodiscard]] const RbxMsg* end() const noexcept {
-      return msgs_.data() + count_;
+      return msgs_ + count_;
     }
     [[nodiscard]] std::size_t size() const noexcept { return count_; }
     [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
@@ -194,7 +225,9 @@ class RbEngine {
    private:
     friend class RbEngine;
     void push(const RbxMsg& m) noexcept { msgs_[count_++] = m; }
-    std::array<RbxMsg, 2> msgs_{};
+    union {
+      RbxMsg msgs_[2];
+    };
     std::uint8_t count_ = 0;
   };
 

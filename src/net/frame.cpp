@@ -1,43 +1,17 @@
 #include "net/frame.hpp"
 
-#include <cstring>
-
 #include "common/error.hpp"
 
 namespace rcp::net {
 
 namespace {
 
-void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-[[nodiscard]] std::uint32_t read_u32(const std::byte* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t read_u64(const std::byte* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
+/// Appends `v` little-endian.
+template <typename T>
+void put(std::vector<std::byte>& out, T v) {
+  std::byte le[sizeof(T)];
+  store_le(le, v);
+  out.insert(out.end(), le, le + sizeof(T));
 }
 
 /// hello body: type(1) magic(4) version(1) n(4) node_id(4)
@@ -51,45 +25,37 @@ constexpr std::size_t kDataHeader = 1 + 8;
 
 void append_hello(std::vector<std::byte>& out, std::uint32_t node_id,
                   std::uint32_t n) {
-  put_u32(out, static_cast<std::uint32_t>(kHelloBody));
-  put_u8(out, static_cast<std::uint8_t>(FrameType::hello));
-  put_u32(out, kHelloMagic);
-  put_u8(out, kWireVersion);
-  put_u32(out, n);
-  put_u32(out, node_id);
+  put(out, static_cast<std::uint32_t>(kHelloBody));
+  put(out, static_cast<std::uint8_t>(FrameType::hello));
+  put(out, kHelloMagic);
+  put(out, kWireVersion);
+  put(out, n);
+  put(out, node_id);
 }
 
 void append_data(std::vector<std::byte>& out, std::uint64_t seq,
                  const Bytes& payload) {
   RCP_EXPECT(payload.size() <= kMaxFrameBody - kDataHeader,
              "payload exceeds frame body limit");
-  put_u32(out, static_cast<std::uint32_t>(kDataHeader + payload.size()));
-  put_u8(out, static_cast<std::uint8_t>(FrameType::data));
-  put_u64(out, seq);
+  put(out, static_cast<std::uint32_t>(kDataHeader + payload.size()));
+  put(out, static_cast<std::uint8_t>(FrameType::data));
+  put(out, seq);
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
 void append_ack(std::vector<std::byte>& out, std::uint64_t acked_seq) {
-  put_u32(out, static_cast<std::uint32_t>(kAckBody));
-  put_u8(out, static_cast<std::uint8_t>(FrameType::ack));
-  put_u64(out, acked_seq);
+  put(out, static_cast<std::uint32_t>(kAckBody));
+  put(out, static_cast<std::uint8_t>(FrameType::ack));
+  put(out, acked_seq);
 }
 
 void encode_data_header(std::span<std::byte, kDataFrameHeader> out,
                         std::uint64_t seq, std::size_t payload_size) {
   RCP_EXPECT(payload_size <= kMaxFrameBody - kDataHeader,
              "payload exceeds frame body limit");
-  const auto body_len =
-      static_cast<std::uint32_t>(kDataHeader + payload_size);
-  for (int i = 0; i < 4; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<std::byte>((body_len >> (8 * i)) & 0xff);
-  }
+  store_le(out.data(), static_cast<std::uint32_t>(kDataHeader + payload_size));
   out[4] = static_cast<std::byte>(FrameType::data);
-  for (int i = 0; i < 8; ++i) {
-    out[static_cast<std::size_t>(5 + i)] =
-        static_cast<std::byte>((seq >> (8 * i)) & 0xff);
-  }
+  store_le(out.data() + 5, seq);
 }
 
 void FrameDecoder::feed(std::span<const std::byte> data) {
@@ -107,7 +73,7 @@ std::optional<Frame> FrameDecoder::next() {
   if (avail < 4) {
     return std::nullopt;
   }
-  const std::uint32_t body_len = read_u32(buf_.data() + pos_);
+  const std::uint32_t body_len = load_le<std::uint32_t>(buf_.data() + pos_);
   if (body_len > kMaxFrameBody) {
     throw DecodeError("frame body length exceeds limit");
   }
@@ -125,7 +91,7 @@ std::optional<Frame> FrameDecoder::next() {
         throw DecodeError("hello frame has wrong length");
       }
       frame.type = FrameType::hello;
-      const std::uint32_t magic = read_u32(body + 1);
+      const std::uint32_t magic = load_le<std::uint32_t>(body + 1);
       if (magic != kHelloMagic) {
         throw DecodeError("hello frame magic mismatch");
       }
@@ -133,8 +99,8 @@ std::optional<Frame> FrameDecoder::next() {
       if (version != kWireVersion) {
         throw DecodeError("hello frame version mismatch");
       }
-      frame.n = read_u32(body + 6);
-      frame.node_id = read_u32(body + 10);
+      frame.n = load_le<std::uint32_t>(body + 6);
+      frame.node_id = load_le<std::uint32_t>(body + 10);
       break;
     }
     case FrameType::data: {
@@ -142,7 +108,7 @@ std::optional<Frame> FrameDecoder::next() {
         throw DecodeError("data frame truncated");
       }
       frame.type = FrameType::data;
-      frame.seq = read_u64(body + 1);
+      frame.seq = load_le<std::uint64_t>(body + 1);
       frame.payload =
           Bytes(std::span<const std::byte>(body + kDataHeader,
                                            body_len - kDataHeader));
@@ -153,7 +119,7 @@ std::optional<Frame> FrameDecoder::next() {
         throw DecodeError("ack frame has wrong length");
       }
       frame.type = FrameType::ack;
-      frame.seq = read_u64(body + 1);
+      frame.seq = load_le<std::uint64_t>(body + 1);
       break;
     }
     default:

@@ -47,7 +47,6 @@ KvReplica::KvReplica(ReplicaConfig cfg, std::shared_ptr<OpSource> source)
       }
     }
   }
-  scratch_.reserve(ext::RbxBatch::kMaxMessages);
 }
 
 ext::RbEngineStats KvReplica::engine_stats() const {
@@ -116,11 +115,12 @@ void KvReplica::on_message(Context& ctx, const Envelope& env) {
   step_affinity_.assert_held();
   try {
     if (ext::RbxBatch::is_batch(env.payload)) {
-      scratch_.clear();
-      ext::RbxBatch::decode_into(env.payload, scratch_, ext::kRbValueAny);
+      // Validated whole before the first feed: a bad entry anywhere
+      // drops the batch. The envelope outlives the loop.
+      const ext::RbxBatch::View batch(env.payload, ext::kRbValueAny);
       ++counters_.batches_decoded;
-      for (const ext::RbxMsg& msg : scratch_) {
-        feed(ctx, env.sender, msg);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        feed(ctx, env.sender, batch[i]);
       }
     } else {
       feed(ctx, env.sender,

@@ -208,8 +208,6 @@ class KvReplica final : public Process {
   /// Termination accounting against cfg_.expected_per_origin.
   std::vector<std::uint64_t> applied_from_ RCP_GUARDED_BY(step_affinity_);
   std::uint32_t origins_remaining_ RCP_GUARDED_BY(step_affinity_) = 0;
-  /// Batch decode buffer.
-  std::vector<ext::RbxMsg> scratch_ RCP_GUARDED_BY(step_affinity_);
   ReplicaCounters counters_ RCP_GUARDED_BY(step_affinity_);
   ApplyHook apply_hook_ RCP_GUARDED_BY(step_affinity_);
 };

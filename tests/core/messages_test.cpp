@@ -87,6 +87,15 @@ struct Codec {
   std::vector<Bytes> valid;
 };
 
+/// Reads every entry of an accepted batch and encodes them again.
+Bytes reencode_batch(const ext::RbxBatch::View& view) {
+  std::vector<ext::RbxMsg> msgs;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    msgs.push_back(view[i]);
+  }
+  return ext::RbxBatch::encode(msgs);
+}
+
 std::vector<Codec> all_codecs() {
   using ext::kRbValueAny;
   using ext::RbxBatch;
@@ -127,18 +136,12 @@ std::vector<Codec> all_codecs() {
        {RbxMsg{.kind = RbxMsg::Kind::initial, .origin = 1,
                .tag = 0x0102030405060708ULL, .value = 0xdeadbeefcafeULL}
             .encode()}},
-      {"RbxBatch",
-       [](const Bytes& b) {
-         std::vector<RbxMsg> out;
-         RbxBatch::decode_into(b, out);
-         return RbxBatch::encode(out);
-       },
+      {"RbxBatch::View",
+       [](const Bytes& b) { return reencode_batch(RbxBatch::View(b)); },
        {RbxBatch::encode(batch)}},
-      {"RbxBatch(any value)",
+      {"RbxBatch::View(any value)",
        [](const Bytes& b) {
-         std::vector<RbxMsg> out;
-         RbxBatch::decode_into(b, out, kRbValueAny);
-         return RbxBatch::encode(out);
+         return reencode_batch(RbxBatch::View(b, kRbValueAny));
        },
        {RbxBatch::encode(batch)}},
   };

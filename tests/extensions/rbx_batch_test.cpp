@@ -1,7 +1,8 @@
 // RbxBatch framing (docs/SERVICE.md "Batching"): the cross-instance frame
 // that coalesces every engine message of one atomic step into one payload
-// per peer. The decoder is a Byzantine surface — every malformed shape a
-// babbler can emit must throw DecodeError, never desync or over-read.
+// per peer. The decoder (RbxBatch::View) is a Byzantine surface — every
+// malformed shape a babbler can emit must throw DecodeError, never desync
+// or over-read.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -20,8 +21,11 @@ RbxMsg msg(RbxMsg::Kind kind, ProcessId origin, std::uint64_t tag,
 
 std::vector<RbxMsg> decode_all(const Bytes& frame,
                                RbValue max_value = kMaxRbValue) {
+  const RbxBatch::View batch(frame, max_value);
   std::vector<RbxMsg> out;
-  RbxBatch::decode_into(frame, out, max_value);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    out.push_back(batch[i]);
+  }
   return out;
 }
 
@@ -70,8 +74,7 @@ TEST(RbxBatch, RejectsTruncatedFrame) {
   Bytes frame = enc({msg(RbxMsg::Kind::echo, 1, 7, 1),
                      msg(RbxMsg::Kind::ready, 2, 8, 0)});
   frame.pop_back();
-  std::vector<RbxMsg> out;
-  EXPECT_THROW(RbxBatch::decode_into(frame, out, kMaxRbValue), DecodeError);
+  EXPECT_THROW((void)RbxBatch::View(frame, kMaxRbValue), DecodeError);
 }
 
 TEST(RbxBatch, RejectsCountBodyMismatch) {
@@ -79,17 +82,14 @@ TEST(RbxBatch, RejectsCountBodyMismatch) {
   // throw, both when the body is short and when it trails extra bytes.
   Bytes frame = enc({msg(RbxMsg::Kind::echo, 1, 7, 1)});
   frame[1] = std::byte{2};  // count is little-endian at offset 1
-  std::vector<RbxMsg> out;
-  EXPECT_THROW(RbxBatch::decode_into(frame, out, kMaxRbValue), DecodeError);
+  EXPECT_THROW((void)RbxBatch::View(frame, kMaxRbValue), DecodeError);
 
   Bytes trailing = enc({msg(RbxMsg::Kind::echo, 1, 7, 1)});
   trailing.push_back(std::byte{0});
-  EXPECT_THROW(RbxBatch::decode_into(trailing, out, kMaxRbValue),
-               DecodeError);
+  EXPECT_THROW((void)RbxBatch::View(trailing, kMaxRbValue), DecodeError);
 }
 
 TEST(RbxBatch, RejectsZeroAndOversizedCounts) {
-  std::vector<RbxMsg> out;
   // count = 0: a batch must carry at least one message.
   Bytes empty = enc({msg(RbxMsg::Kind::echo, 1, 7, 1)});
   empty[1] = std::byte{0};
@@ -97,7 +97,7 @@ TEST(RbxBatch, RejectsZeroAndOversizedCounts) {
   empty[3] = std::byte{0};
   empty[4] = std::byte{0};
   empty.resize(5);
-  EXPECT_THROW(RbxBatch::decode_into(empty, out, kMaxRbValue), DecodeError);
+  EXPECT_THROW((void)RbxBatch::View(empty, kMaxRbValue), DecodeError);
 
   // count > kMaxMessages: reject on the header alone — a forged count must
   // not size any buffer.
@@ -107,33 +107,33 @@ TEST(RbxBatch, RejectsZeroAndOversizedCounts) {
   huge[2] = std::byte{0xff};
   huge[3] = std::byte{0xff};
   huge[4] = std::byte{0xff};
-  EXPECT_THROW(RbxBatch::decode_into(huge, out, kMaxRbValue), DecodeError);
+  EXPECT_THROW((void)RbxBatch::View(huge, kMaxRbValue), DecodeError);
 }
 
 TEST(RbxBatch, RejectsOutOfRangeEntryKind) {
   Bytes frame = enc({msg(RbxMsg::Kind::echo, 1, 7, 1)});
   frame[5] = std::byte{3};  // first entry's kind byte: only 0..2 are legal
-  std::vector<RbxMsg> out;
-  EXPECT_THROW(RbxBatch::decode_into(frame, out, kMaxRbValue), DecodeError);
+  EXPECT_THROW((void)RbxBatch::View(frame, kMaxRbValue), DecodeError);
 }
 
 TEST(RbxBatch, RejectsOutOfRangeEntryValue) {
   const Bytes frame = enc({msg(RbxMsg::Kind::echo, 1, 7, kMaxRbValue + 1)});
-  std::vector<RbxMsg> out;
-  EXPECT_THROW(RbxBatch::decode_into(frame, out, kMaxRbValue), DecodeError);
+  EXPECT_THROW((void)RbxBatch::View(frame, kMaxRbValue), DecodeError);
   // The same frame is legal under a wider value bound (the KV service).
   EXPECT_EQ(decode_all(frame, kRbValueAny).size(), 1u);
 }
 
-TEST(RbxBatch, DecodeIntoAppendsNothingOnFailure) {
-  // The replica reuses one scratch vector across frames; a throw midway
-  // must not leave phantom messages for the next decode to feed.
+TEST(RbxBatch, BadLastEntryRejectsWholeBatch) {
+  // All or nothing: the view validates every entry before any is read, so
+  // a caller never feeds the good prefix of a Byzantine frame.
   Bytes frame = enc({msg(RbxMsg::Kind::echo, 1, 7, 1),
                      msg(RbxMsg::Kind::ready, 2, 8, 0)});
-  frame[5 + 21] = std::byte{7};  // corrupt the second entry's kind
-  std::vector<RbxMsg> out;
-  EXPECT_THROW(RbxBatch::decode_into(frame, out, kMaxRbValue), DecodeError);
-  EXPECT_TRUE(out.empty());
+  frame[RbxBatch::kHeaderSize + RbxBatch::kEntrySize] =
+      std::byte{7};  // corrupt the second entry's kind
+  EXPECT_THROW((void)RbxBatch::View(frame, kMaxRbValue), DecodeError);
+  const Bytes high = enc({msg(RbxMsg::Kind::echo, 1, 7, 1),
+                          msg(RbxMsg::Kind::ready, 2, 8, kMaxRbValue + 1)});
+  EXPECT_THROW((void)RbxBatch::View(high, kMaxRbValue), DecodeError);
 }
 
 }  // namespace

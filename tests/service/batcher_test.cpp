@@ -25,7 +25,10 @@ RbxMsg echo(ProcessId origin, std::uint64_t tag, std::uint64_t v) {
 std::vector<RbxMsg> decode_payload(const Bytes& payload) {
   std::vector<RbxMsg> out;
   if (RbxBatch::is_batch(payload)) {
-    RbxBatch::decode_into(payload, out, ext::kRbValueAny);
+    const RbxBatch::View batch(payload, ext::kRbValueAny);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      out.push_back(batch[i]);
+    }
   } else {
     out.push_back(RbxMsg::decode(payload, ext::kRbValueAny));
   }

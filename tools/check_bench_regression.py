@@ -9,10 +9,12 @@ Three input formats are understood:
 
 * ``--micro``: google-benchmark ``--benchmark_format=json`` output from
   bench_micro; entries are matched by benchmark name (``BM_EchoEngine*``,
-  the ``BM_Bitops*`` kernel series and the ``BM_Fig2*`` delivery path)
+  the ``BM_Bitops*`` kernel series, the ``BM_Fig2*`` delivery path, and
+  the ``BM_RbEngine*``/``BM_RbxBatch*`` reliable-broadcast ingest path)
   and compared on ``items_per_second`` (echoes/sec; words/sec for
-  kernels; delivered messages/sec for the delivery path), against the
-  ``echo_path`` baseline section.
+  kernels; delivered messages/sec for the delivery path; handled
+  messages/sec for RbEngine ingest; batch entries/sec for the batch
+  view), against the ``echo_path`` baseline section.
 * ``--x4``: rcp-bench-v1 ``--json`` output from bench_x4_complexity;
   entries are matched by series ``label`` (``echo_path_n*``) and compared
   on ``trials_per_sec`` (echoes/sec), against ``echo_path``.
@@ -45,13 +47,15 @@ def load_json(path):
 
 
 def micro_results(path):
-    """Name -> items_per_second for the echo-path, bit-kernel and
-    delivery-path benchmarks in bench_micro."""
+    """Name -> items_per_second for the echo-path, bit-kernel,
+    delivery-path and reliable-broadcast ingest benchmarks in bench_micro."""
     doc = load_json(path)
+    prefixes = ("BM_EchoEngine", "BM_Bitops", "BM_Fig2", "BM_RbEngine",
+                "BM_RbxBatch")
     return {
         b["name"]: float(b["items_per_second"])
         for b in doc.get("benchmarks", [])
-        if b["name"].startswith(("BM_EchoEngine", "BM_Bitops", "BM_Fig2"))
+        if b["name"].startswith(prefixes)
         and "items_per_second" in b
     }
 
