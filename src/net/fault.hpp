@@ -37,7 +37,8 @@ struct LinkFaults {
 };
 
 /// Force-close the link to `peer` when the node's delivered-message count
-/// reaches `after_delivered`. Fires once.
+/// reaches `after_delivered`, or as soon after that as the link is
+/// established. Fires once.
 struct DisconnectEvent {
   ProcessId peer = 0;
   std::uint64_t after_delivered = 0;

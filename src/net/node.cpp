@@ -387,10 +387,22 @@ void Node::loop_finish() {
 
 void Node::apply_due_disconnects(Clock::time_point now) {
   for (const ProcessId p : faults_.due_disconnects(stats_.msgs_delivered)) {
-    if (p < cfg_.n && p != cfg_.id && links_[p].fd.valid()) {
-      reset_link(links_[p], now);
+    if (p < cfg_.n && p != cfg_.id) {
+      pending_cuts_.push_back(p);
     }
   }
+  // Only an established link is cut. Self-deliveries can reach an event's
+  // count while the link is still being dialed; cutting it then (or
+  // skipping it) would spend the planned disconnect without ever running
+  // the reconnect path, so the cut waits for the link to come up.
+  std::erase_if(pending_cuts_, [&](ProcessId p) {
+    PeerLink& link = links_[p];
+    if (link.state != PeerLink::State::established) {
+      return false;
+    }
+    reset_link(link, now);
+    return true;
+  });
 }
 
 void Node::start_due_dials(Clock::time_point now) {

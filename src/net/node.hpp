@@ -259,6 +259,8 @@ class Node {
   std::vector<PendingConn> pending_ RCP_GUARDED_BY(loop_affinity_);
   Rng process_rng_ RCP_GUARDED_BY(loop_affinity_);
   FaultInjector faults_ RCP_GUARDED_BY(loop_affinity_);
+  /// Peers whose disconnect event is due but whose link is not up yet.
+  std::vector<ProcessId> pending_cuts_ RCP_GUARDED_BY(loop_affinity_);
   NodeStats stats_ RCP_GUARDED_BY(loop_affinity_);
   std::string error_ RCP_GUARDED_BY(loop_affinity_);
   /// Reusable vectored-send scratch (no allocations).
