@@ -26,6 +26,7 @@
 #include "runtime/parallel_series.hpp"
 #include "runtime/scenario_series.hpp"
 #include "runtime/seeding.hpp"
+#include "service/kv_store.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
@@ -365,6 +366,54 @@ void BM_RbxBatchView(benchmark::State& state) {
                           count);
 }
 BENCHMARK(BM_RbxBatchView)->Arg(64)->Arg(1024);
+
+// Replica apply, the KV service's last layer: random-key writes to the
+// KvStore of an n=7, 4-shard replica (28 streams), whose table holds
+// 28 x 8,192 live keys (8 MiB of slots, past any one core's L2), so most
+// writes miss the cache. Arg 1 applies each write with apply(); arg 256
+// hands apply_all() spans of 256 writes, about what one replica step
+// applies under kv_single_loop load. items/sec is applied writes per
+// second (docs/PERF.md "KV apply cost").
+void BM_KvStoreApply(benchmark::State& state) {
+  const auto span = static_cast<std::size_t>(state.range(0));
+  constexpr std::uint32_t kStreams = 28;
+  constexpr std::uint32_t kKeysPerStream = 8192;
+  constexpr std::size_t kChunk = 256;
+  service::KvStore store(kStreams);
+  std::vector<std::uint64_t> seq(kStreams, 0);
+  for (std::uint32_t key = 0; key < kKeysPerStream; ++key) {
+    for (std::uint32_t stream = 0; stream < kStreams; ++stream) {
+      store.apply(stream, seq[stream]++, service::KvOp{key, key});
+    }
+  }
+  Rng rng(5);
+  std::vector<service::KvStore::Write> writes(std::size_t{1} << 16);
+  for (service::KvStore::Write& w : writes) {
+    w.stream = static_cast<std::uint32_t>(rng.below(kStreams));
+    w.seq = seq[w.stream]++;
+    w.op = service::KvOp{static_cast<std::uint32_t>(rng.below(kKeysPerStream)),
+                         static_cast<std::uint32_t>(rng.next())};
+  }
+  std::size_t at = 0;
+  for (auto _ : state) {
+    const std::span<const service::KvStore::Write> chunk(writes.data() + at,
+                                                         kChunk);
+    if (span == 1) {
+      for (const service::KvStore::Write& w : chunk) {
+        store.apply(w.stream, w.seq, w.op);
+      }
+    } else {
+      for (std::size_t i = 0; i < kChunk; i += span) {
+        store.apply_all(chunk.subspan(i, span));
+      }
+    }
+    at = (at + kChunk) % writes.size();
+  }
+  benchmark::DoNotOptimize(store.digest());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kChunk));
+}
+BENCHMARK(BM_KvStoreApply)->Arg(1)->Arg(256);
 
 void BM_SimulationStepFailStop(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

@@ -259,6 +259,12 @@ void RbEngine::release(std::uint32_t slot) noexcept {
   while (*link != slot) {
     link = &slots_[*link].next;
   }
+  unlink(link);
+}
+
+void RbEngine::unlink(std::uint32_t* link) noexcept {
+  const std::uint32_t slot = *link;
+  Instance& inst = slots_[slot];
   *link = inst.next;
   inst.live = false;
   inst.next = free_head_;
@@ -459,9 +465,16 @@ void RbEngine::retire_through(ProcessId origin, std::uint64_t tag) {
   if (origin >= params_.n) {
     return;
   }
-  const std::uint32_t slot = find(origin, tag);
-  if (slot != kNil) {
-    release(slot);
+  // One walk of the bucket chain finds the instance and the link that
+  // points at it.
+  std::uint32_t* link = &bucket_heads_[mix_key(origin, tag) & bucket_mask_];
+  while (*link != kNil) {
+    const Instance& inst = slots_[*link];
+    if (inst.origin == origin && inst.tag == tag) {
+      unlink(link);
+      break;
+    }
+    link = &slots_[*link].next;
   }
   retired_below_[origin] = std::max(retired_below_[origin], tag + 1);
 }

@@ -250,8 +250,10 @@ class RbEngine {
   /// The delivered value of a *live* instance (origin, tag), if any.
   /// Retired instances forget their delivery — long-running callers keep
   /// their own applied state, that is the point of retiring. The KV
-  /// service's FIFO apply path re-queries this as its cursor advances, so
-  /// an out-of-order delivery needs no caller-side buffer.
+  /// service's FIFO apply path queries this for a delivery that arrived
+  /// ahead of its cursor once the cursor reaches it, so an out-of-order
+  /// delivery needs no caller-side buffer; the delivery at the cursor it
+  /// applies from the Delivery itself.
   [[nodiscard]] std::optional<RbValue> delivered(ProcessId origin,
                                                  std::uint64_t tag) const;
 
@@ -327,6 +329,9 @@ class RbEngine {
       std::uint16_t& lanes_used);
   /// Unlinks `slot` from its bucket and pushes it on the free list.
   void release(std::uint32_t slot) noexcept;
+  /// Frees the live slot `*link` names, where `link` is the bucket-chain
+  /// link (a bucket head or an Instance::next) that points at it.
+  void unlink(std::uint32_t* link) noexcept;
   void grow();
   /// Appends the READY transition for `value` if not yet sent.
   void maybe_ready(std::uint32_t slot, RbValue value, Outcome& out);

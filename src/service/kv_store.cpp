@@ -10,6 +10,12 @@ namespace {
 constexpr std::size_t kMinTable = 64;
 using detail::mix64;
 
+/// The table key: keys are namespaced per stream.
+constexpr std::uint64_t composite_key(std::uint32_t stream,
+                                      std::uint32_t key) noexcept {
+  return (static_cast<std::uint64_t>(stream) << 32) | key;
+}
+
 constexpr std::uint64_t fold_entry(std::uint64_t key,
                                    std::uint32_t value) noexcept {
   return mix64(key ^ (static_cast<std::uint64_t>(value) * 0x9e3779b97f4a7c15ULL));
@@ -35,9 +41,17 @@ std::size_t KvStore::probe(std::uint64_t key) const noexcept {
   return i;
 }
 
-void KvStore::grow() {
+void KvStore::reserve_for(std::size_t extra) {
+  // Grow at 70% load so probe runs stay short.
+  std::size_t size = table_.size();
+  while ((used_ + extra) * 10 >= size * 7) {
+    size *= 2;
+  }
+  if (size == table_.size()) {
+    return;
+  }
   std::vector<Slot> old = std::move(table_);
-  table_ = std::vector<Slot>(old.size() * 2);
+  table_ = std::vector<Slot>(size);
   for (const Slot& s : old) {
     if (s.used) {
       table_[probe(s.key)] = s;
@@ -46,37 +60,44 @@ void KvStore::grow() {
 }
 
 void KvStore::apply(std::uint32_t stream, std::uint64_t seq, KvOp op) {
-  RCP_EXPECT(stream < chains_.size(), "KvStore: stream out of range");
-  const std::uint64_t composite =
-      (static_cast<std::uint64_t>(stream) << 32) | op.key;
-  std::size_t i = probe(composite);
-  if (table_[i].used) {
-    state_fold_ -= fold_entry(composite, table_[i].value);
-    table_[i].value = op.value;
-  } else {
-    // Grow at 70% load so probe runs stay short.
-    if ((used_ + 1) * 10 >= table_.size() * 7) {
-      grow();
-      i = probe(composite);
-    }
-    table_[i] = Slot{composite, op.value, true};
-    ++used_;
+  const Write w{stream, seq, op};
+  apply_all(std::span<const Write>(&w, 1));
+}
+
+void KvStore::apply_all(std::span<const Write> writes) {
+  // Worst case every write is a new key; the table layout is not
+  // observable, so growing for it early changes nothing but memory.
+  reserve_for(writes.size());
+  const std::size_t mask = table_.size() - 1;
+  for (const Write& w : writes) {
+    RCP_EXPECT(w.stream < chains_.size(), "KvStore: stream out of range");
+    __builtin_prefetch(&table_[mix64(composite_key(w.stream, w.op.key)) & mask],
+                       /*rw=*/1);
   }
-  state_fold_ += fold_entry(composite, op.value);
-  chains_[stream] =
-      mix64(chains_[stream] ^ mix64(seq + 1) ^ mix64(pack_op(op)));
-  ++stream_applied_[stream];
-  ++applied_;
-  if (keep_log_) {
-    logs_[stream].emplace_back(seq, pack_op(op));
+  for (const Write& w : writes) {
+    const std::uint64_t composite = composite_key(w.stream, w.op.key);
+    Slot& slot = table_[probe(composite)];
+    if (slot.used) {
+      state_fold_ -= fold_entry(composite, slot.value);
+      slot.value = w.op.value;
+    } else {
+      slot = Slot{composite, w.op.value, true};
+      ++used_;
+    }
+    state_fold_ += fold_entry(composite, w.op.value);
+    chains_[w.stream] =
+        mix64(chains_[w.stream] ^ mix64(w.seq + 1) ^ mix64(pack_op(w.op)));
+    ++stream_applied_[w.stream];
+    ++applied_;
+    if (keep_log_) {
+      logs_[w.stream].emplace_back(w.seq, pack_op(w.op));
+    }
   }
 }
 
 std::optional<std::uint32_t> KvStore::get(std::uint32_t stream,
                                           std::uint32_t key) const {
-  const std::uint64_t composite =
-      (static_cast<std::uint64_t>(stream) << 32) | key;
-  const std::size_t i = probe(composite);
+  const std::size_t i = probe(composite_key(stream, key));
   if (!table_[i].used) {
     return std::nullopt;
   }

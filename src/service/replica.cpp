@@ -14,6 +14,7 @@ KvReplica::KvReplica(ReplicaConfig cfg, std::shared_ptr<OpSource> source)
       next_seq_(cfg.shards, 0),
       inflight_(cfg.shards, 0),
       next_apply_(static_cast<std::size_t>(cfg.params.n) * cfg.shards, 0),
+      ahead_(next_apply_.size(), 0),
       applied_from_(cfg.params.n, 0) {
   step_affinity_.assert_held();  // constructing thread is the first driver
   RCP_EXPECT(cfg_.shards >= 1 && cfg_.shards < (1u << kShardBits),
@@ -36,6 +37,9 @@ KvReplica::KvReplica(ReplicaConfig cfg, std::shared_ptr<OpSource> source)
                            : std::max(65536u, cfg_.window * 1024u);
   RCP_EXPECT(origin_cap > cfg_.window,
              "KvReplica: per-origin instance cap must exceed the window");
+  // Every stream's whole window: what one step applies when a message
+  // unblocks every stream at once. A longer run grows the buffer once.
+  writes_.reserve(next_apply_.size() * cfg_.window);
   engines_.reserve(cfg_.shards);
   for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
     engines_.emplace_back(cfg_.params, hint, ext::kRbValueAny, origin_cap);
@@ -130,6 +134,10 @@ void KvReplica::on_message(Context& ctx, const Envelope& env) {
     // Byzantine bytes: drop the payload, count it, stay alive.
     ++counters_.decode_errors;
   }
+  // The store is only observed between steps, so its writes can wait
+  // for the end of this one and go in as one prefetched span.
+  kv_.apply_all(writes_);
+  writes_.clear();
   pull_all(ctx);
   batcher_.flush(ctx);
 }
@@ -163,30 +171,28 @@ void KvReplica::feed(Context& ctx, ProcessId sender, const ext::RbxMsg& msg) {
 void KvReplica::on_delivered(Context& ctx, std::uint32_t shard,
                              const ext::RbEngine::Delivery& d) {
   const std::uint32_t stream = stream_of(d.origin, shard);
-  if (seq_of(d.tag) != next_apply_[stream]) {
+  std::uint64_t seq = seq_of(d.tag);
+  if (seq != next_apply_[stream]) {
     // Delivered ahead of the cursor (behind is impossible — applied tags
     // are retired). The instance stays live in the engine with its value
     // queryable, so nothing is buffered replica-side and nothing can be
     // shed: whether an op applies depends only on the cursor, never on
     // local arrival order, which is what keeps correct replicas on
-    // identical per-stream prefixes.
+    // identical per-stream prefixes. Only the count is kept, so the apply
+    // below asks the engine for the next seq only when one is waiting.
+    ++ahead_[stream];
     ++counters_.deferred_deliveries;
     return;
   }
-  // FIFO barrier: apply the contiguous run starting at the cursor by
-  // re-querying the engine — the delivery callback is one-shot, the
-  // delivered() lookup is not.
+  // FIFO barrier: apply the contiguous run starting at the cursor. The
+  // first value is the one just delivered; each later one is a deferred
+  // delivery, found by querying the engine while ahead_ says one waits.
   ext::RbEngine& engine = engines_[shard];
+  ext::RbValue word = d.value;
   for (;;) {
-    const std::uint64_t seq = next_apply_[stream];
-    const std::optional<ext::RbValue> word =
-        engine.delivered(d.origin, make_tag(shard, seq));
-    if (!word.has_value()) {
-      return;
-    }
-    const KvOp op = unpack_op(*word);
+    const KvOp op = unpack_op(word);
     ++next_apply_[stream];
-    kv_.apply(stream, seq, op);
+    writes_.push_back(KvStore::Write{stream, seq, op});
     ++counters_.ops_applied;
     engine.retire_through(d.origin, make_tag(shard, seq));
     if (d.origin == self_) {
@@ -208,6 +214,17 @@ void KvReplica::on_delivered(Context& ctx, std::uint32_t shard,
         }
       }
     }
+    if (ahead_[stream] == 0) {
+      return;
+    }
+    ++seq;
+    const std::optional<ext::RbValue> next =
+        engine.delivered(d.origin, make_tag(shard, seq));
+    if (!next.has_value()) {
+      return;
+    }
+    --ahead_[stream];
+    word = *next;
   }
 }
 

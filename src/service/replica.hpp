@@ -6,12 +6,16 @@
 // when the instance delivers *and* every earlier op of the same origin
 // stream has been applied (the per-stream FIFO barrier — delivery order
 // across instances is asynchronous, apply order is not). Out-of-order
-// deliveries wait inside the engine (delivered() is re-queried as the
-// cursor advances); applied instances are retired, and the engine's
-// anchor-aware per-origin instance caps bound what Byzantine phantom
-// spray can occupy without ever dropping real protocol votes — lost
-// votes are never retransmitted, so receipt-time shedding of legitimate
-// traffic is the one thing this layer must not do.
+// deliveries wait inside the engine, and only a per-stream count of them
+// lives here: when the cursor's own delivery arrives, its value applies
+// straight from the Delivery and delivered() is queried for the next seqs
+// only while that count is non-zero. Applied instances are retired at
+// once; their store writes are queued and reach the KvStore in one
+// apply_all() at the end of each on_message (docs/SERVICE.md "FIFO
+// barrier"). The engine's anchor-aware per-origin instance caps bound
+// what Byzantine phantom spray can occupy without ever dropping real
+// protocol votes — lost votes are never retransmitted, so receipt-time
+// shedding of legitimate traffic is the one thing this layer must not do.
 //
 // Sharding: the 64-bit instance tag is (shard << 48) | seq; each shard has
 // its own engine, its own seq space and its own origination window, so
@@ -126,7 +130,8 @@ struct ReplicaCounters {
 class KvReplica final : public Process {
  public:
   /// Called (own ops only, in per-shard seq order) as ops are applied —
-  /// the load generator's latency probe.
+  /// the load generator's latency probe. The op's store write lands at
+  /// the end of the current step, so the hook must not read the store.
   using ApplyHook = std::function<void(std::uint32_t shard, std::uint64_t seq,
                                        KvOp op)>;
 
@@ -205,6 +210,13 @@ class KvReplica final : public Process {
   /// Out-of-order deliveries stay live (and queryable) in the engine until
   /// the cursor reaches them — there is no replica-side pending buffer.
   std::vector<std::uint64_t> next_apply_ RCP_GUARDED_BY(step_affinity_);
+  /// ahead_[stream]: deliveries of the stream past its cursor, not yet
+  /// applied. A count, not a buffer: the values stay in the engine.
+  std::vector<std::uint32_t> ahead_ RCP_GUARDED_BY(step_affinity_);
+  /// Store writes of the ops applied during this on_message, handed to
+  /// the KvStore in one apply_all() at its end. Reserved at construction
+  /// and only ever cleared.
+  std::vector<KvStore::Write> writes_ RCP_GUARDED_BY(step_affinity_);
   /// Termination accounting against cfg_.expected_per_origin.
   std::vector<std::uint64_t> applied_from_ RCP_GUARDED_BY(step_affinity_);
   std::uint32_t origins_remaining_ RCP_GUARDED_BY(step_affinity_) = 0;

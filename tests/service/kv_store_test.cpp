@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 namespace rcp::service {
 namespace {
 
@@ -87,6 +91,61 @@ TEST(KvStore, PackOpRoundTrips) {
   const KvOp back = unpack_op(pack_op(op));
   EXPECT_EQ(back.key, op.key);
   EXPECT_EQ(back.value, op.value);
+}
+
+/// Everything a KvStore shows: equal here means the stores cannot be told
+/// apart. `keys` lists every (stream, key) ever written.
+void expect_same_store(
+    const KvStore& a, const KvStore& b,
+    const std::set<std::pair<std::uint32_t, std::uint32_t>>& keys) {
+  EXPECT_EQ(a.digest(), b.digest());
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.applied(), b.applied());
+  for (std::uint32_t s = 0; s < a.streams(); ++s) {
+    EXPECT_EQ(a.stream_chain(s), b.stream_chain(s)) << "stream " << s;
+    EXPECT_EQ(a.stream_applied(s), b.stream_applied(s)) << "stream " << s;
+    EXPECT_EQ(a.stream_log(s), b.stream_log(s)) << "stream " << s;
+  }
+  for (const auto& [stream, key] : keys) {
+    EXPECT_EQ(a.get(stream, key), b.get(stream, key))
+        << "stream " << stream << " key " << key;
+  }
+}
+
+TEST(KvStore, ApplyAllMatchesSequentialApply) {
+  constexpr std::uint32_t kStreams = 4;
+  KvStore bulk(kStreams, /*keep_log=*/true);
+  KvStore one_by_one(kStreams, /*keep_log=*/true);
+  std::set<std::pair<std::uint32_t, std::uint32_t>> keys;
+  std::vector<std::uint64_t> next_seq(kStreams, 0);
+  std::uint64_t draw = 0;
+
+  // Span sizes: empty first; then spans that carry the table from 64
+  // slots past its 70% growth limit several times each (45 -> 90 -> 179
+  // -> ... keys); then small spans.
+  for (const std::size_t span : {0, 1, 40, 300, 1000, 3000, 7, 0, 64}) {
+    std::vector<KvStore::Write> writes;
+    for (std::size_t i = 0; i < span; ++i) {
+      const std::uint64_t r = detail::mix64(++draw);
+      const auto stream = static_cast<std::uint32_t>(r % kStreams);
+      // Every third write reuses one of 16 keys of its stream, so one
+      // span holds repeated keys within one stream; the rest are fresh.
+      const auto key = static_cast<std::uint32_t>(
+          r % 3 == 0 ? (r >> 8) % 16 : 16 + draw);
+      writes.push_back(KvStore::Write{
+          .stream = stream,
+          .seq = next_seq[stream]++,
+          .op = KvOp{.key = key, .value = static_cast<std::uint32_t>(r >> 32)}});
+      keys.emplace(stream, key);
+    }
+    bulk.apply_all(writes);
+    for (const KvStore::Write& w : writes) {
+      one_by_one.apply(w.stream, w.seq, w.op);
+    }
+    expect_same_store(bulk, one_by_one, keys);
+  }
+  EXPECT_GT(bulk.size(), 3000u);
+  EXPECT_LT(bulk.size(), bulk.applied());  // some writes overwrote
 }
 
 }  // namespace

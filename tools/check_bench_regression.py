@@ -9,12 +9,13 @@ Three input formats are understood:
 
 * ``--micro``: google-benchmark ``--benchmark_format=json`` output from
   bench_micro; entries are matched by benchmark name (``BM_EchoEngine*``,
-  the ``BM_Bitops*`` kernel series, the ``BM_Fig2*`` delivery path, and
-  the ``BM_RbEngine*``/``BM_RbxBatch*`` reliable-broadcast ingest path)
-  and compared on ``items_per_second`` (echoes/sec; words/sec for
-  kernels; delivered messages/sec for the delivery path; handled
-  messages/sec for RbEngine ingest; batch entries/sec for the batch
-  view), against the ``echo_path`` baseline section.
+  the ``BM_Bitops*`` kernel series, the ``BM_Fig2*`` delivery path, the
+  ``BM_RbEngine*``/``BM_RbxBatch*`` reliable-broadcast ingest path, and
+  the ``BM_KvStore*`` replica apply path) and compared on
+  ``items_per_second`` (echoes/sec; words/sec for kernels; delivered
+  messages/sec for the delivery path; handled messages/sec for RbEngine
+  ingest; batch entries/sec for the batch view; applied writes/sec for
+  the KV store), against the ``echo_path`` baseline section.
 * ``--x4``: rcp-bench-v1 ``--json`` output from bench_x4_complexity;
   entries are matched by series ``label`` (``echo_path_n*``) and compared
   on ``trials_per_sec`` (echoes/sec), against ``echo_path``.
@@ -48,10 +49,11 @@ def load_json(path):
 
 def micro_results(path):
     """Name -> items_per_second for the echo-path, bit-kernel,
-    delivery-path and reliable-broadcast ingest benchmarks in bench_micro."""
+    delivery-path, reliable-broadcast ingest and KV store apply benchmarks
+    in bench_micro."""
     doc = load_json(path)
     prefixes = ("BM_EchoEngine", "BM_Bitops", "BM_Fig2", "BM_RbEngine",
-                "BM_RbxBatch")
+                "BM_RbxBatch", "BM_KvStore")
     return {
         b["name"]: float(b["items_per_second"])
         for b in doc.get("benchmarks", [])
