@@ -6,10 +6,11 @@
 // Two transports, one replica:
 //   --mode sim   G independent deterministic groups on a TrialPool (the
 //                worker-shard layout of docs/SERVICE.md), aggregate ops/sec.
-//   --mode net   one loopback TCP cluster (net::Cluster); client threads
-//                enqueue ops into per-replica queues, replicas pull them on
-//                the idle tick, frames-per-op comes from real transport
-//                frame counters (PeerCounters::msgs_out).
+//   --mode net   one loopback TCP cluster (net::Cluster, edge-triggered
+//                epoll, Linux only); client threads enqueue ops into
+//                per-replica queues, replicas pull them on the idle tick,
+//                frames-per-op comes from real transport frame counters
+//                (PeerCounters::msgs_out).
 //
 // Latency is origination->apply on the owner replica (consensus latency;
 // queue wait before the window admits an op is excluded — the same
@@ -35,7 +36,6 @@
 //   --loop-threads T        net mode: T shared event-loop threads instead
 //                           of one thread per replica (labels gain
 //                           a _sharedT suffix)
-//   --backend auto|poll|epoll   net mode: readiness backend
 //   --json PATH             write the rcp-svc-v1 report
 #include <algorithm>
 #include <chrono>
@@ -77,7 +77,6 @@ struct Options {
   std::uint64_t seed = 1;
   std::uint32_t timeout_ms = 120000;
   std::uint32_t loop_threads = 0;
-  net::Reactor::Backend backend = net::Reactor::Backend::automatic;
   std::string json_path;
 };
 
@@ -106,8 +105,7 @@ int usage(const char* argv0) {
             << " [--mode sim|net] [--n N] [--k K] [--shards S] [--ops OPS]\n"
                "       [--window W] [--batching on|off|both] [--groups G]\n"
                "       [--threads T] [--seed S] [--timeout-ms T]\n"
-               "       [--loop-threads T] [--backend auto|poll|epoll]"
-               " [--json PATH]\n";
+               "       [--loop-threads T] [--json PATH]\n";
   return 2;
 }
 
@@ -172,19 +170,6 @@ std::optional<Options> parse(int argc, char** argv) {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
         opt.loop_threads = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--backend") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        const std::string s = v;
-        if (s == "auto") {
-          opt.backend = net::Reactor::Backend::automatic;
-        } else if (s == "poll") {
-          opt.backend = net::Reactor::Backend::poll;
-        } else if (s == "epoll") {
-          opt.backend = net::Reactor::Backend::epoll;
-        } else {
-          return std::nullopt;
-        }
       } else if (flag == "--json") {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
@@ -301,7 +286,6 @@ RunReport run_net(const Options& opt, bool batching) {
   cc.limits.max_queued_frames = std::size_t{1} << 17;
   cc.limits.backpressure_high_water = std::size_t{1} << 16;
   cc.loop_threads = opt.loop_threads;
-  cc.backend = opt.backend;
 
   net::Cluster cluster(cc, [&](ProcessId id) {
     service::ReplicaConfig rc;

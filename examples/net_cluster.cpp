@@ -5,7 +5,8 @@
 // simulator runs. The default mode runs all n nodes as threads in this
 // process on ephemeral loopback ports; --fork runs each node as its own
 // OS process on base_port + id (the closest thing to a deployment the
-// loopback allows).
+// loopback allows). Every event loop is edge-triggered epoll, so the
+// driver runs on Linux only.
 //
 //   $ ./net_cluster --protocol fig1 --n 5 --crash 4@1
 //   $ ./net_cluster --protocol fig2 --n 7 --adversary silent --byz 1
@@ -28,7 +29,6 @@
 //   --timeout-ms T          give up after T ms (default 30000)
 //   --loop-threads T        drive all n nodes from T shared event-loop
 //                           threads (default 0 = one thread per node)
-//   --backend auto|poll|epoll   readiness backend (default auto)
 //   --json PATH             write the rcp-net-v1 report
 //   --sweep N1,N2,...       benchmark sweep: run the protocol at each n,
 //                           thread-per-node and shared-loop side by side,
@@ -80,7 +80,6 @@ struct Options {
   bool fork_mode = false;
   std::uint16_t base_port = 0;
   std::uint32_t loop_threads = 0;
-  net::Reactor::Backend backend = net::Reactor::Backend::automatic;
   std::vector<std::uint32_t> sweep_ns;
 };
 
@@ -92,8 +91,8 @@ int usage(const char* argv0) {
          " [--byz B]\n"
          "       [--crash ID@PHASE]... [--disconnect A:B@D]...\n"
          "       [--drop P] [--delay MIN:MAX] [--seed S] [--timeout-ms T]\n"
-         "       [--loop-threads T] [--backend auto|poll|epoll]\n"
-         "       [--json PATH] [--sweep N1,N2,...] [--fork --base-port P]\n";
+         "       [--loop-threads T] [--json PATH] [--sweep N1,N2,...]\n"
+         "       [--fork --base-port P]\n";
   return 2;
 }
 
@@ -202,19 +201,6 @@ std::optional<Options> parse(int argc, char** argv) {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
         opt.loop_threads = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--backend") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        const std::string s = v;
-        if (s == "auto") {
-          opt.backend = net::Reactor::Backend::automatic;
-        } else if (s == "poll") {
-          opt.backend = net::Reactor::Backend::poll;
-        } else if (s == "epoll") {
-          opt.backend = net::Reactor::Backend::epoll;
-        } else {
-          return std::nullopt;
-        }
       } else if (flag == "--sweep") {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
@@ -322,7 +308,6 @@ net::ClusterConfig cluster_config(const Options& opt, const Plan& plan) {
   cfg.arbitrary_faulty = plan.byzantine_ids;
   cfg.timeout_ms = opt.timeout_ms;
   cfg.loop_threads = opt.loop_threads;
-  cfg.backend = opt.backend;
   return cfg;
 }
 

@@ -36,7 +36,6 @@ net::ClusterConfig nemesis_cluster_config(const SchedulePlan& plan,
   cluster.base_port = cfg.base_port;
   cluster.timeout_ms = cfg.timeout_ms;
   cluster.loop_threads = cfg.loop_threads;
-  cluster.backend = cfg.backend;
 
   cluster.link_faults.drop_probability = spec.net_drop_permille / 1000.0;
   cluster.link_faults.delay_min_ms = 0;

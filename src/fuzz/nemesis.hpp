@@ -25,7 +25,6 @@ struct NemesisConfig {
   std::uint32_t timeout_ms = 30000;
   /// 0 = ephemeral ports (parallel-test safe).
   std::uint16_t base_port = 0;
-  net::Reactor::Backend backend = net::Reactor::Backend::automatic;
 };
 
 struct NemesisResult {

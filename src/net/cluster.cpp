@@ -44,7 +44,6 @@ Cluster::Cluster(ClusterConfig cfg, const ProcessFactory& factory)
             : static_cast<std::uint16_t>(cfg_.base_port + id);
     nc.seed = cfg_.seed;
     nc.limits = cfg_.limits;
-    nc.backend = cfg_.backend;
     nc.faults.link = cfg_.link_faults;
     for (const auto& [node, event] : cfg_.disconnects) {
       if (node == id) {
@@ -86,7 +85,7 @@ ClusterResult Cluster::run() {
   std::vector<std::unique_ptr<EventLoop>> loops;
   loops.reserve(loop_count);
   for (std::uint32_t t = 0; t < loop_count; ++t) {
-    loops.push_back(std::make_unique<EventLoop>(cfg_.backend));
+    loops.push_back(std::make_unique<EventLoop>());
   }
   for (ProcessId id = 0; id < cfg_.n && loop_count > 0; ++id) {
     loops[id % loop_count]->add(*nodes_[id]);

@@ -58,8 +58,6 @@ struct ClusterConfig {
   std::uint32_t timeout_ms = 30000;
   /// 0 = one thread per node; T > 0 = min(T, n) shared loop threads.
   std::uint32_t loop_threads = 0;
-  /// Readiness backend for every loop (automatic = epoll on Linux).
-  Reactor::Backend backend = Reactor::Backend::automatic;
 };
 
 struct NodeOutcome {

@@ -59,12 +59,9 @@ void EventLoop::run() {
       node->assert_driving();
       timeout_ms = std::min(timeout_ms, node->loop_timeout_ms(now));
       ready_now = ready_now || node->loop_has_ready_work();
-      if (!reactor_->edge_triggered()) {
-        node->loop_refresh_masks(now);
-      }
     }
-    reactor_->wait(ready_now ? 0 : timeout_ms);
-    for (const ReactorEvent& ev : reactor_->events()) {
+    reactor_.wait(ready_now ? 0 : timeout_ms);
+    for (const ReactorEvent& ev : reactor_.events()) {
       const auto idx = static_cast<std::size_t>(ev.token >> 32);
       if (idx < nodes_.size() && !nodes_[idx]->finished()) {
         Node& node = *nodes_[idx];

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/reactor.hpp"
@@ -40,9 +39,6 @@ inline constexpr std::uint32_t kSubPendingBit = 0x80000000u;
 
 class EventLoop {
  public:
-  explicit EventLoop(Reactor::Backend backend)
-      : reactor_(Reactor::make(backend)) {}
-
   /// Registers a node with this loop. Call before run(); the node must
   /// outlive the loop's run().
   void add(Node& node) { nodes_.push_back(&node); }
@@ -53,23 +49,12 @@ class EventLoop {
 
   // ---- Registration facade (loop-thread-only, used by Node) ----------
 
-  void watch(int fd, std::uint64_t token, unsigned mask) {
-    reactor_->add(fd, mask, token);
-  }
-  void change(int fd, std::uint64_t token, unsigned mask) {
-    reactor_->modify(fd, mask, token);
-  }
-  void unwatch(int fd) { reactor_->remove(fd); }
-
-  [[nodiscard]] bool edge_triggered() const noexcept {
-    return reactor_->edge_triggered();
-  }
-  [[nodiscard]] std::string_view backend_name() const noexcept {
-    return reactor_->name();
-  }
+  void watch(int fd, std::uint64_t token) { reactor_.add(fd, token); }
+  void change(int fd, std::uint64_t token) { reactor_.modify(fd, token); }
+  void unwatch(int fd) { reactor_.remove(fd); }
 
  private:
-  std::unique_ptr<Reactor> reactor_;
+  Reactor reactor_;
   std::vector<Node*> nodes_;
 };
 

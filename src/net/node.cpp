@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "net/loop.hpp"
+#include "net/reactor.hpp"
 #include "runtime/seeding.hpp"
 
 namespace rcp::net {
@@ -20,6 +21,13 @@ namespace {
 using std::chrono::milliseconds;
 
 constexpr std::size_t kReadChunk = 16 * 1024;
+/// Dial retry backoff: initial, doubling to the cap.
+constexpr std::uint32_t kReconnectInitialMs = 5;
+constexpr std::uint32_t kReconnectMaxMs = 250;
+/// A connection must complete its handshake within this long.
+constexpr std::uint32_t kHandshakeTimeoutMs = 2000;
+/// Idle wait cap — the loop always wakes at least this often.
+constexpr int kWaitCapMs = 50;
 /// Per-service read cap (chunks): a firehose peer yields the loop to its
 /// siblings; the sticky readable flag keeps the remainder scheduled.
 constexpr int kMaxReadRounds = 64;
@@ -97,9 +105,7 @@ Node::Node(NodeConfig cfg, std::unique_ptr<sim::Process> process)
     // Dial direction: higher id dials lower, so every pair has exactly
     // one connection and dial races are impossible.
     links_[p].init(p, cfg_.peers[p], /*dialer=*/p < cfg_.id);
-    links_[p].configure_rto(cfg_.limits.adaptive_rto,
-                            cfg_.limits.retransmit_timeout_ms,
-                            cfg_.limits.rto_min_ms, cfg_.limits.rto_max_ms);
+    links_[p].configure_rto(cfg_.limits.retransmit_timeout_ms);
   }
   stats_.peers.resize(cfg_.n);
 
@@ -153,16 +159,15 @@ std::optional<Value> Node::decision() const noexcept {
 }
 
 void Node::run() {
-  EventLoop loop(cfg_.backend);
+  EventLoop loop;
   loop.add(*this);
   loop.run();
 }
 
 // ---- EventLoop interface ----------------------------------------------
 
-void Node::watch_fd(int fd, std::uint32_t sub, unsigned mask) {
-  loop_->watch(
-      fd, (static_cast<std::uint64_t>(loop_index_) << 32) | sub, mask);
+void Node::watch_fd(int fd, std::uint32_t sub) {
+  loop_->watch(fd, (static_cast<std::uint64_t>(loop_index_) << 32) | sub);
 }
 
 void Node::loop_start(EventLoop& loop, std::uint32_t index,
@@ -170,9 +175,9 @@ void Node::loop_start(EventLoop& loop, std::uint32_t index,
   loop_ = &loop;
   loop_index_ = index;
   listen();
-  watch_fd(wake_rd_, kSubWake, Reactor::kRead);
+  watch_fd(wake_rd_, kSubWake);
   wake_watched_ = true;
-  watch_fd(listener_.fd.get(), kSubListener, Reactor::kRead);
+  watch_fd(listener_.fd.get(), kSubListener);
   listener_watched_ = true;
   LoopContext ctx(*this);
   process_->on_start(ctx);
@@ -263,7 +268,7 @@ void Node::loop_service(Clock::time_point now) {
 }
 
 int Node::loop_timeout_ms(Clock::time_point now) const {
-  auto best = now + milliseconds(cfg_.limits.poll_cap_ms);
+  auto best = now + milliseconds(kWaitCapMs);
   const auto consider = [&](Clock::time_point tp) {
     if (!is_unarmed(tp) && tp < best) {
       best = tp;
@@ -300,8 +305,7 @@ int Node::loop_timeout_ms(Clock::time_point now) const {
   }
   const auto ms =
       std::chrono::duration_cast<milliseconds>(delta).count() + 1;
-  return static_cast<int>(
-      std::min<long long>(ms, cfg_.limits.poll_cap_ms));
+  return static_cast<int>(std::min<long long>(ms, kWaitCapMs));
 }
 
 bool Node::loop_has_ready_work() const noexcept {
@@ -324,46 +328,6 @@ bool Node::loop_has_ready_work() const noexcept {
     }
   }
   return false;
-}
-
-void Node::loop_refresh_masks(Clock::time_point now) {
-  // Level-triggered fallback only: recompute each link's interest from
-  // its state (the poll path's analogue of the old build_interest_set).
-  // Write interest is wanted only after EAGAIN — while ev_writable holds,
-  // the service pass flushes opportunistically without kernel help.
-  for (PeerLink& link : links_) {
-    if (!link.fd.valid()) {
-      continue;
-    }
-    unsigned mask = 0;
-    switch (link.state) {
-      case PeerLink::State::connecting:
-        mask = Reactor::kWrite;
-        break;
-      case PeerLink::State::hello_sent:
-        mask = Reactor::kRead;
-        if (!link.ev_writable && link.write_off < link.write_buf.size()) {
-          mask |= Reactor::kWrite;
-        }
-        break;
-      case PeerLink::State::established:
-        if (!link.read_paused) {
-          mask |= Reactor::kRead;
-        }
-        if (!link.ev_writable &&
-            (link.write_off < link.write_buf.size() ||
-             link.transmittable(now) || link.ack_pending)) {
-          mask |= Reactor::kWrite;
-        }
-        break;
-      case PeerLink::State::idle:
-        break;
-    }
-    loop_->change(
-        link.fd.get(),
-        (static_cast<std::uint64_t>(loop_index_) << 32) | link.peer(),
-        mask);
-  }
 }
 
 bool Node::loop_finished() const noexcept {
@@ -414,25 +378,20 @@ void Node::start_due_dials(Clock::time_point now) {
     Fd fd = dial_start(link.addr());
     if (!fd.valid()) {
       // Immediate refusal — peer not up yet; back off and retry.
-      link.backoff_ms = link.backoff_ms == 0
-                            ? cfg_.limits.reconnect_initial_ms
-                            : std::min(link.backoff_ms * 2,
-                                       cfg_.limits.reconnect_max_ms);
+      link.backoff_ms =
+          link.backoff_ms == 0
+              ? kReconnectInitialMs
+              : std::min(link.backoff_ms * 2, kReconnectMaxMs);
       link.next_dial_at = now + milliseconds(link.backoff_ms);
       continue;
-    }
-    if (cfg_.limits.so_rcvbuf != 0) {
-      set_rcvbuf(fd, cfg_.limits.so_rcvbuf);
     }
     if (cfg_.limits.so_sndbuf != 0) {
       set_sndbuf(fd, cfg_.limits.so_sndbuf);
     }
     link.fd = std::move(fd);
     link.state = PeerLink::State::connecting;
-    link.handshake_deadline =
-        now + milliseconds(cfg_.limits.handshake_timeout_ms);
-    watch_fd(link.fd.get(), link.peer(),
-             Reactor::kRead | Reactor::kWrite);
+    link.handshake_deadline = now + milliseconds(kHandshakeTimeoutMs);
+    watch_fd(link.fd.get(), link.peer());
   }
 }
 
@@ -443,20 +402,17 @@ void Node::accept_new_connections(Clock::time_point now) {
     if (!conn.valid()) {
       break;
     }
-    if (cfg_.limits.so_rcvbuf != 0) {
-      set_rcvbuf(conn, cfg_.limits.so_rcvbuf);
-    }
     if (cfg_.limits.so_sndbuf != 0) {
       set_sndbuf(conn, cfg_.limits.so_sndbuf);
     }
     PendingConn pc;
     pc.fd = std::move(conn);
-    pc.deadline = now + milliseconds(cfg_.limits.handshake_timeout_ms);
+    pc.deadline = now + milliseconds(kHandshakeTimeoutMs);
     pc.token = kSubPendingBit | (pending_token_seq_++ & 0x7FFFFFFFu);
     // The hello may already sit in the kernel buffer from before the
     // registration; start readable so the first service pass reads.
     pc.readable = true;
-    watch_fd(pc.fd.get(), pc.token, Reactor::kRead);
+    watch_fd(pc.fd.get(), pc.token);
     pending_.push_back(std::move(pc));
   }
 }
@@ -525,8 +481,7 @@ void Node::attach_pending(std::size_t index, ProcessId peer) {
   // Re-address the registration from the pending token to the peer id.
   loop_->change(link.fd.get(),
                 (static_cast<std::uint64_t>(loop_index_) << 32) |
-                    link.peer(),
-                Reactor::kRead | Reactor::kWrite);
+                    link.peer());
   link.ev_readable = had_bytes_buffered;
   link.ev_writable = true;  // fresh socket: optimistically writable
   link.write_buf.clear();
@@ -582,9 +537,8 @@ void Node::reset_link(PeerLink& link, Clock::time_point now) {
   link.state = PeerLink::State::idle;
   if (link.dialer()) {
     link.backoff_ms = link.backoff_ms == 0
-                          ? cfg_.limits.reconnect_initial_ms
-                          : std::min(link.backoff_ms * 2,
-                                     cfg_.limits.reconnect_max_ms);
+                          ? kReconnectInitialMs
+                          : std::min(link.backoff_ms * 2, kReconnectMaxMs);
     link.next_dial_at = now + milliseconds(link.backoff_ms);
   }
 }
@@ -632,7 +586,7 @@ void Node::service_links(Clock::time_point now) {
 }
 
 bool Node::read_socket(PeerLink& link) {
-  // Drain to EAGAIN: edge-triggered backends report only transitions, so
+  // Drain to EAGAIN: edge-triggered epoll reports only transitions, so
   // stopping at a short read could strand buffered bytes forever. The
   // round cap bounds one link's share of the loop; the sticky flag keeps
   // an over-cap link scheduled for the next pass.

@@ -51,7 +51,6 @@
 #include "common/types.hpp"
 #include "net/fault.hpp"
 #include "net/peer.hpp"
-#include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/stats.hpp"
 
@@ -66,33 +65,18 @@ struct NodeLimits {
   std::size_t max_queued_frames = 4096;
   /// Crossing this pauses reads from that peer (backpressure).
   std::size_t backpressure_high_water = 2048;
-  /// Go-back-N rewind after this long with no ack progress. With
-  /// adaptive_rto this is only the initial timeout, used until the first
-  /// RTT sample; without it, the fixed timeout for every rewind.
+  /// Go-back-N rewind after this long with no ack progress, until the
+  /// first RTT sample seeds the RFC 6298 estimator (see PeerLink::note_rtt
+  /// and docs/NET.md).
   std::uint32_t retransmit_timeout_ms = 100;
-  /// RFC 6298-style retransmit timeout: SRTT/RTTVAR estimated from the
-  /// per-frame enqueue → ack samples, rto = srtt + max(1ms, 4·rttvar)
-  /// clamped to [rto_min_ms, rto_max_ms], doubled after each timeout
-  /// (see PeerLink::note_rtt and docs/NET.md).
-  bool adaptive_rto = true;
-  std::uint32_t rto_min_ms = 20;
-  std::uint32_t rto_max_ms = 2000;
-  /// Dial retry backoff: initial, doubling to the cap.
-  std::uint32_t reconnect_initial_ms = 5;
-  std::uint32_t reconnect_max_ms = 250;
-  /// A connection must complete its handshake within this long.
-  std::uint32_t handshake_timeout_ms = 2000;
-  /// Idle poll cap — the loop always wakes at least this often.
-  std::uint32_t poll_cap_ms = 50;
   /// When non-zero, the loop invokes the process's on_null() at least every
   /// this many milliseconds. Consensus protocols are purely message-driven
   /// and leave this off; long-running services (the KV replica) use the
   /// tick to pull queued client ops even when no frame is in flight.
   std::uint32_t idle_tick_ms = 0;
-  /// Test hooks: when non-zero, applied to every link socket (SO_RCVBUF /
-  /// SO_SNDBUF). Tiny values force short vectored writes, exercising the
-  /// partial-frame spill path under realistic kernel behaviour.
-  int so_rcvbuf = 0;
+  /// Test hook: when non-zero, applied to every link socket as SO_SNDBUF.
+  /// Tiny values force short vectored writes, exercising the partial-frame
+  /// spill path under realistic kernel behaviour.
   int so_sndbuf = 0;
 };
 
@@ -111,9 +95,6 @@ struct NodeConfig {
   /// Fail-stop injection: the node dies (closes everything, exits run())
   /// as soon as its process's phase() reaches this value.
   std::optional<Phase> crash_at_phase;
-  /// Readiness backend when the node runs on its own loop (run()); a
-  /// shared EventLoop brings its own backend and ignores this.
-  Reactor::Backend backend = Reactor::Backend::automatic;
 };
 
 class Node {
@@ -200,7 +181,6 @@ class Node {
       RCP_REQUIRES(loop_affinity_);
   [[nodiscard]] bool loop_has_ready_work() const noexcept
       RCP_REQUIRES(loop_affinity_);
-  void loop_refresh_masks(Clock::time_point now) RCP_REQUIRES(loop_affinity_);
   [[nodiscard]] bool loop_finished() const noexcept
       RCP_REQUIRES(loop_affinity_);
   void loop_abort(const char* what) RCP_REQUIRES(loop_affinity_);
@@ -232,8 +212,7 @@ class Node {
   void record_decision(Value v) RCP_REQUIRES(loop_affinity_);
   void after_event() RCP_REQUIRES(loop_affinity_);
   void close_all() RCP_REQUIRES(loop_affinity_);
-  void watch_fd(int fd, std::uint32_t sub, unsigned mask)
-      RCP_REQUIRES(loop_affinity_);
+  void watch_fd(int fd, std::uint32_t sub) RCP_REQUIRES(loop_affinity_);
 
   /// A connection that said nothing yet: accepted, awaiting its hello.
   struct PendingConn {

@@ -70,9 +70,6 @@ void PeerLink::on_ack(std::uint64_t acked, Clock::time_point now,
 }
 
 void PeerLink::note_rtt(double sample_ms) noexcept {
-  if (!rto_adaptive_) {
-    return;
-  }
   if (!rto_has_sample_) {
     // RFC 6298 §2.2: first measurement seeds both estimators.
     srtt_ms_ = sample_ms;
@@ -86,14 +83,14 @@ void PeerLink::note_rtt(double sample_ms) noexcept {
   }
   const double rto = srtt_ms_ + std::max(1.0, 4.0 * rttvar_ms_);
   rto_derived_ms_ = static_cast<std::uint32_t>(
-      std::clamp(rto, static_cast<double>(rto_min_ms_),
-                 static_cast<double>(rto_max_ms_)));
+      std::clamp(rto, static_cast<double>(kRtoMinMs),
+                 static_cast<double>(kRtoMaxMs)));
   rto_current_ms_ = rto_derived_ms_;
 }
 
 void PeerLink::backoff_rto() noexcept {
-  if (rto_adaptive_ && rto_has_sample_) {
-    rto_current_ms_ = std::min(rto_current_ms_ * 2, rto_max_ms_);
+  if (rto_has_sample_) {
+    rto_current_ms_ = std::min(rto_current_ms_ * 2, kRtoMaxMs);
   }
 }
 

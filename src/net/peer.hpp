@@ -52,6 +52,10 @@ namespace rcp::net {
 
 using Clock = std::chrono::steady_clock;
 
+/// Bounds of the adaptive retransmit timeout (PeerLink::rto_ms).
+inline constexpr std::uint32_t kRtoMinMs = 20;
+inline constexpr std::uint32_t kRtoMaxMs = 2000;
+
 /// One queued-but-not-yet-acked outbound payload, with its wire header
 /// precomputed so transmission is pure buffer gathering.
 struct Outbound {
@@ -192,31 +196,24 @@ class PeerLink {
 
   // ---- Adaptive retransmit timeout (RFC 6298 shape) ------------------
   //
-  // The fixed timeout either stalls recovery (too long for a fast link)
-  // or rewinds spuriously (too short under queueing). Instead the link
+  // A fixed timeout either stalls recovery (too long for a fast link) or
+  // rewinds spuriously (too short under queueing). Instead the link
   // estimates SRTT/RTTVAR from the enqueue → cumulative-ack samples the
   // latency histogram already measures, and arms the retransmit clock at
-  //   rto = clamp(srtt + max(granularity, 4·rttvar), rto_min, rto_max).
+  //   rto = clamp(srtt + max(granularity, 4·rttvar), kRtoMinMs, kRtoMaxMs).
   // Retransmitted frames contribute no samples (Karn), and the RTO
   // doubles after each timeout-triggered rewind until fresh acks re-seed
   // the estimator.
 
-  /// Installs the estimator configuration (copied from NodeLimits at node
-  /// setup; this header cannot depend on node.hpp). `initial_ms` is the
-  /// timeout used before the first sample — and always, when `adaptive`
-  /// is off.
-  void configure_rto(bool adaptive, std::uint32_t initial_ms,
-                     std::uint32_t min_ms, std::uint32_t max_ms) noexcept {
-    rto_adaptive_ = adaptive;
+  /// Installs the timeout used before the first sample (copied from
+  /// NodeLimits at node setup; this header cannot depend on node.hpp).
+  void configure_rto(std::uint32_t initial_ms) noexcept {
     rto_initial_ms_ = initial_ms;
-    rto_min_ms_ = min_ms;
-    rto_max_ms_ = max_ms;
   }
 
   /// Current value for arming the retransmit clock, in milliseconds.
   [[nodiscard]] std::uint32_t rto_ms() const noexcept {
-    return rto_adaptive_ && rto_has_sample_ ? rto_current_ms_
-                                            : rto_initial_ms_;
+    return rto_has_sample_ ? rto_current_ms_ : rto_initial_ms_;
   }
 
   /// Exponential backoff after a timeout-triggered rewind; the next
@@ -290,11 +287,8 @@ class PeerLink {
   std::uint64_t last_seq_ = 0;    ///< last assigned outbound seq
   std::uint64_t next_expected_ = 1;  ///< next inbound seq to deliver
 
-  // RTO estimator (configure_rto installs the NodeLimits values).
-  bool rto_adaptive_ = true;
+  // RTO estimator (configure_rto installs the initial timeout).
   std::uint32_t rto_initial_ms_ = 100;
-  std::uint32_t rto_min_ms_ = 20;
-  std::uint32_t rto_max_ms_ = 2000;
   bool rto_has_sample_ = false;
   double srtt_ms_ = 0.0;
   double rttvar_ms_ = 0.0;

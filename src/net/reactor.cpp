@@ -1,252 +1,83 @@
 #include "net/reactor.hpp"
 
-#ifdef __linux__
 #include <sys/epoll.h>  // the only TU allowed to (lint rule os-exclusive)
-#endif
 #include <unistd.h>
 
 #include <cerrno>
-#include <vector>
 
 #include "common/error.hpp"
-#include "net/poller.hpp"
 
 namespace rcp::net {
 
 namespace {
 
-/// Registration table indexed by fd. Both backends need the (mask, token)
-/// pair per descriptor: poll to rebuild its interest set, epoll to
-/// translate epoll_data back and to make modify()/remove() checkable.
-struct FdTable {
-  struct Entry {
-    bool active = false;
-    unsigned mask = 0;
-    std::uint64_t token = 0;
-  };
-
-  Entry& at(int fd) {
-    RCP_EXPECT(fd >= 0, "reactor: negative fd");
-    const auto i = static_cast<std::size_t>(fd);
-    if (i >= entries.size()) {
-      entries.resize(i + 1);
-    }
-    return entries[i];
-  }
-
-  std::vector<Entry> entries;
-  std::size_t active_count = 0;
-};
-
-class PollReactor final : public Reactor {
- public:
-  void add(int fd, unsigned mask, std::uint64_t token) override {
-    FdTable::Entry& e = table_.at(fd);
-    RCP_EXPECT(!e.active, "PollReactor::add: fd already registered");
-    e = {true, mask, token};
-    ++table_.active_count;
-  }
-
-  void modify(int fd, unsigned mask, std::uint64_t token) override {
-    FdTable::Entry& e = table_.at(fd);
-    RCP_EXPECT(e.active, "PollReactor::modify: fd not registered");
-    e.mask = mask;
-    e.token = token;
-  }
-
-  void remove(int fd) override {
-    FdTable::Entry& e = table_.at(fd);
-    RCP_EXPECT(e.active, "PollReactor::remove: fd not registered");
-    e = {};
-    --table_.active_count;
-  }
-
-  int wait(int timeout_ms) override {
-    poller_.clear();
-    for (std::size_t i = 0; i < table_.entries.size(); ++i) {
-      const FdTable::Entry& e = table_.entries[i];
-      if (e.active) {
-        short events = 0;
-        if ((e.mask & kRead) != 0) {
-          events |= Poller::kRead;
-        }
-        if ((e.mask & kWrite) != 0) {
-          events |= Poller::kWrite;
-        }
-        poller_.want(static_cast<int>(i), events);
-      }
-    }
-    events_.clear();
-    const int rc = poller_.wait(timeout_ms);
-    if (rc <= 0) {
-      return rc;
-    }
-    for (std::size_t i = 0; i < table_.entries.size(); ++i) {
-      const FdTable::Entry& e = table_.entries[i];
-      if (!e.active) {
-        continue;
-      }
-      const short revents = poller_.ready(static_cast<int>(i));
-      if (revents == 0) {
-        continue;
-      }
-      unsigned mask = 0;
-      if ((revents & POLLIN) != 0) {
-        mask |= kRead;
-      }
-      if ((revents & POLLOUT) != 0) {
-        mask |= kWrite;
-      }
-      if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
-        mask |= kError;
-      }
-      events_.push_back(ReactorEvent{static_cast<int>(i), mask, e.token});
-    }
-    return static_cast<int>(events_.size());
-  }
-
-  [[nodiscard]] std::span<const ReactorEvent> events()
-      const noexcept override {
-    return events_;
-  }
-
-  [[nodiscard]] bool edge_triggered() const noexcept override {
-    return false;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "poll";
-  }
-
- private:
-  FdTable table_;
-  Poller poller_;
-  std::vector<ReactorEvent> events_;
-};
-
-#ifdef __linux__
-
-class EpollReactor final : public Reactor {
- public:
-  EpollReactor() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
-    RCP_EXPECT(epfd_ >= 0, "epoll_create1() failed");
-  }
-  ~EpollReactor() override { ::close(epfd_); }
-  EpollReactor(const EpollReactor&) = delete;
-  EpollReactor& operator=(const EpollReactor&) = delete;
-
-  void add(int fd, unsigned mask, std::uint64_t token) override {
-    FdTable::Entry& e = table_.at(fd);
-    RCP_EXPECT(!e.active, "EpollReactor::add: fd already registered");
-    // Edge-triggered, both directions, forever: re-arming via epoll_ctl
-    // per state change would put a syscall on every flush/pause; the
-    // loop's sticky readable/writable flags filter instead. `mask` is
-    // recorded only so modify() round-trips.
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
-    ev.data.u64 = token;
-    RCP_EXPECT(::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0,
-               "epoll_ctl(ADD) failed");
-    e = {true, mask, token};
-    ++table_.active_count;
-    if (events_.capacity() < table_.active_count) {
-      events_.reserve(table_.active_count);
-    }
-  }
-
-  void modify(int fd, unsigned mask, std::uint64_t token) override {
-    FdTable::Entry& e = table_.at(fd);
-    RCP_EXPECT(e.active, "EpollReactor::modify: fd not registered");
-    if (e.token != token) {
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
-      ev.data.u64 = token;
-      RCP_EXPECT(::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0,
-                 "epoll_ctl(MOD) failed");
-    }
-    e.mask = mask;
-    e.token = token;
-  }
-
-  void remove(int fd) override {
-    FdTable::Entry& e = table_.at(fd);
-    RCP_EXPECT(e.active, "EpollReactor::remove: fd not registered");
-    // The fd is still open here (callers remove before close), so DEL
-    // cannot fail with EBADF; failure means table/kernel state diverged.
-    RCP_EXPECT(::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) == 0,
-               "epoll_ctl(DEL) failed");
-    e = {};
-    --table_.active_count;
-  }
-
-  int wait(int timeout_ms) override {
-    events_.clear();
-    if (kernel_events_.size() < table_.active_count + 1) {
-      kernel_events_.resize(table_.active_count + 1);
-    }
-    const int rc =
-        ::epoll_wait(epfd_, kernel_events_.data(),
-                     static_cast<int>(kernel_events_.size()), timeout_ms);
-    if (rc < 0) {
-      return errno == EINTR ? 0 : rc;
-    }
-    for (int i = 0; i < rc; ++i) {
-      const epoll_event& ev = kernel_events_[static_cast<std::size_t>(i)];
-      unsigned mask = 0;
-      if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0) {
-        mask |= kRead;
-      }
-      if ((ev.events & EPOLLOUT) != 0) {
-        mask |= kWrite;
-      }
-      if ((ev.events & (EPOLLERR | EPOLLHUP)) != 0) {
-        mask |= kError;
-      }
-      events_.push_back(ReactorEvent{-1, mask, ev.data.u64});
-    }
-    return rc;
-  }
-
-  [[nodiscard]] std::span<const ReactorEvent> events()
-      const noexcept override {
-    return events_;
-  }
-
-  [[nodiscard]] bool edge_triggered() const noexcept override {
-    return true;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "epoll";
-  }
-
- private:
-  int epfd_ = -1;
-  FdTable table_;
-  std::vector<epoll_event> kernel_events_;
-  std::vector<ReactorEvent> events_;
-};
-
-#endif  // __linux__
+// Edge-triggered, both directions, forever: re-arming via epoll_ctl per
+// state change would put a syscall on every flush/pause; the loop's sticky
+// readable/writable flags filter instead.
+constexpr std::uint32_t kInterest = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
 
 }  // namespace
 
-std::unique_ptr<Reactor> Reactor::make(Backend backend) {
-#ifdef __linux__
-  if (backend == Backend::automatic || backend == Backend::epoll) {
-    return std::make_unique<EpollReactor>();
-  }
-#else
-  RCP_EXPECT(backend != Backend::epoll,
-             "epoll backend requested on a platform without epoll");
-#endif
-  return std::make_unique<PollReactor>();
+Reactor::Reactor() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  RCP_EXPECT(epfd_ >= 0, "epoll_create1() failed");
 }
 
-bool Reactor::epoll_available() noexcept {
-#ifdef __linux__
-  return true;
-#else
-  return false;
-#endif
+Reactor::~Reactor() { ::close(epfd_); }
+
+void Reactor::add(int fd, std::uint64_t token) {
+  epoll_event ev{};
+  ev.events = kInterest;
+  ev.data.u64 = token;
+  RCP_EXPECT(::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0,
+             "epoll_ctl(ADD) failed");
+  ++registered_;
+  if (events_.capacity() < registered_) {
+    events_.reserve(registered_);
+  }
+}
+
+void Reactor::modify(int fd, std::uint64_t token) {
+  epoll_event ev{};
+  ev.events = kInterest;
+  ev.data.u64 = token;
+  RCP_EXPECT(::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0,
+             "epoll_ctl(MOD) failed");
+}
+
+void Reactor::remove(int fd) {
+  // The fd is still open here (callers remove before close), so DEL
+  // cannot fail with EBADF; failure means it was never registered.
+  RCP_EXPECT(::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) == 0,
+             "epoll_ctl(DEL) failed");
+  --registered_;
+}
+
+int Reactor::wait(int timeout_ms) {
+  events_.clear();
+  if (kernel_events_.size() < registered_ + 1) {
+    kernel_events_.resize(registered_ + 1);
+  }
+  const int rc =
+      ::epoll_wait(epfd_, kernel_events_.data(),
+                   static_cast<int>(kernel_events_.size()), timeout_ms);
+  if (rc < 0) {
+    return errno == EINTR ? 0 : rc;
+  }
+  for (int i = 0; i < rc; ++i) {
+    const epoll_event& ev = kernel_events_[static_cast<std::size_t>(i)];
+    unsigned mask = 0;
+    if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0) {
+      mask |= kRead;
+    }
+    if ((ev.events & EPOLLOUT) != 0) {
+      mask |= kWrite;
+    }
+    if ((ev.events & (EPOLLERR | EPOLLHUP)) != 0) {
+      mask |= kError;
+    }
+    events_.push_back(ReactorEvent{mask, ev.data.u64});
+  }
+  return rc;
 }
 
 }  // namespace rcp::net

@@ -1,29 +1,24 @@
-// Reactor — the readiness-notification engine behind the net event loop.
+// Reactor — the readiness-notification engine behind the net event loop:
+// edge-triggered epoll(7).
 //
-// Two interchangeable backends implement one interface:
+// Descriptors register once with EPOLLIN|EPOLLOUT|EPOLLET and never
+// re-arm; the kernel reports *transitions*, and the loop keeps sticky
+// per-link readable/writable flags that it clears only on EAGAIN. There is
+// no interest mask to maintain, and wait() is O(ready), so one loop thread
+// can drive the full-mesh fan-in of many nodes (n=100 ≈ 10k sockets)
+// without rescanning idle descriptors.
 //
-//   EpollReactor  edge-triggered epoll(7) (Linux). Descriptors register
-//                 once with EPOLLIN|EPOLLOUT|EPOLLET and never re-arm; the
-//                 kernel reports *transitions*, and the loop keeps sticky
-//                 per-link readable/writable flags that it clears only on
-//                 EAGAIN. wait() is O(ready), so one loop thread can drive
-//                 the full-mesh fan-in of many nodes (n=100 ≈ 10k sockets)
-//                 without rescanning idle descriptors.
-//   PollReactor   level-triggered poll(2) on top of net/poller.hpp — the
-//                 portable fallback. Interest masks are recomputed from
-//                 the registration table every wait(), and wait() is
-//                 O(watched). Semantics match the simulator-era loop.
-//
-// The loop asks edge_triggered() once and adapts its flag discipline; the
-// frame/link/backpressure machinery is backend-agnostic. reactor.cpp is
-// the only translation unit allowed to include <sys/epoll.h> — enforced
-// by tools/rcp-lint (os-header exclusivity, see tools/lint_rules.toml).
+// reactor.cpp is the only translation unit allowed to include
+// <sys/epoll.h> — enforced by tools/rcp-lint (os-header exclusivity, see
+// tools/lint_rules.toml); this header only forward-declares the kernel's
+// event struct.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <string_view>
+#include <vector>
+
+struct epoll_event;
 
 namespace rcp::net {
 
@@ -31,7 +26,6 @@ namespace rcp::net {
 /// opaque value supplied at add()/modify() time (the loop packs a node
 /// index and a per-node subject into it).
 struct ReactorEvent {
-  int fd = -1;
   unsigned mask = 0;
   std::uint64_t token = 0;
 };
@@ -40,48 +34,42 @@ class Reactor {
  public:
   static constexpr unsigned kRead = 1u << 0;
   static constexpr unsigned kWrite = 1u << 1;
-  /// Error/hangup. Reported regardless of the interest mask; the loop
-  /// treats it as readable so the next read() observes the error/EOF.
+  /// Error/hangup. The loop treats it as readable so the next read()
+  /// observes the error/EOF.
   static constexpr unsigned kError = 1u << 2;
 
-  enum class Backend : std::uint8_t {
-    automatic,  ///< epoll where available, poll otherwise
-    poll,
-    epoll,
-  };
+  /// Throws rcp::Error if the epoll instance cannot be created.
+  Reactor();
+  ~Reactor();
+  Reactor(const Reactor&) = delete;
+  Reactor& operator=(const Reactor&) = delete;
 
-  /// Builds the requested backend. Throws rcp::Error when `epoll` is
-  /// requested on a platform without it.
-  [[nodiscard]] static std::unique_ptr<Reactor> make(Backend backend);
+  /// Registers a descriptor for both directions, edge-triggered. Throws
+  /// rcp::Error if it is already registered.
+  void add(int fd, std::uint64_t token);
 
-  /// True iff `epoll` can be constructed on this platform.
-  [[nodiscard]] static bool epoll_available() noexcept;
+  /// Re-tokens a registered descriptor. Throws if it is not registered.
+  void modify(int fd, std::uint64_t token);
 
-  virtual ~Reactor() = default;
-
-  /// Registers a descriptor. Edge-triggered backends ignore `mask` and
-  /// always watch both directions (the loop's sticky flags do the
-  /// filtering); level-triggered backends honour it.
-  virtual void add(int fd, unsigned mask, std::uint64_t token) = 0;
-
-  /// Updates the mask and/or token of a registered descriptor.
-  virtual void modify(int fd, unsigned mask, std::uint64_t token) = 0;
-
-  /// Deregisters a descriptor. Must be called before close(): with a
-  /// registration table indexed by fd, a recycled descriptor number would
-  /// otherwise inherit a stale token.
-  virtual void remove(int fd) = 0;
+  /// Deregisters a descriptor. Must be called before close(), so that a
+  /// recycled descriptor number starts from a clean registration. Throws
+  /// if it is not registered.
+  void remove(int fd);
 
   /// Blocks up to timeout_ms (0 = immediate, negative = forever) and
   /// fills events(). Returns the event count; EINTR counts as zero.
-  virtual int wait(int timeout_ms) = 0;
+  int wait(int timeout_ms);
 
   /// Events produced by the last wait(); valid until the next wait().
-  [[nodiscard]] virtual std::span<const ReactorEvent> events()
-      const noexcept = 0;
+  [[nodiscard]] std::span<const ReactorEvent> events() const noexcept {
+    return events_;
+  }
 
-  [[nodiscard]] virtual bool edge_triggered() const noexcept = 0;
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
+ private:
+  int epfd_ = -1;
+  std::size_t registered_ = 0;
+  std::vector<epoll_event> kernel_events_;
+  std::vector<ReactorEvent> events_;
 };
 
 }  // namespace rcp::net

@@ -104,17 +104,7 @@ inline void write_cluster_report(bench::JsonWriter& j,
   j.field("n", cfg.n);
   j.field("seed", cfg.seed);
   j.field("loop_threads", cfg.loop_threads);
-  j.field("backend", [&]() -> std::string_view {
-    switch (cfg.backend) {
-      case Reactor::Backend::poll:
-        return "poll";
-      case Reactor::Backend::epoll:
-        return "epoll";
-      case Reactor::Backend::automatic:
-        break;
-    }
-    return Reactor::epoll_available() ? "epoll" : "poll";
-  }());
+  j.field("backend", "epoll");  // the only reactor; kept for the schema
   j.field("all_correct_decided", result.all_correct_decided);
   j.field("agreement", result.agreement);
   j.field("timed_out", result.timed_out);

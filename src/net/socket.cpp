@@ -108,10 +108,6 @@ int dial_result(const Fd& fd) {
   return err;
 }
 
-void set_rcvbuf(const Fd& fd, int bytes) {
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
-}
-
 void set_sndbuf(const Fd& fd, int bytes) {
   ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
 }

@@ -72,11 +72,6 @@ struct ListenSocket {
 /// killed the connect.
 [[nodiscard]] int dial_result(const Fd& fd);
 
-/// Shrinks the socket's kernel receive buffer (SO_RCVBUF) to roughly
-/// `bytes`. Test hook: a tiny receive window forces short writev()
-/// returns on the sender so partial-write handling gets exercised.
-void set_rcvbuf(const Fd& fd, int bytes);
-
 /// Shrinks the socket's kernel send buffer (SO_SNDBUF) to roughly
 /// `bytes`. Test hook: a tiny send window forces short vectored writes,
 /// exercising the partial-frame spill path.

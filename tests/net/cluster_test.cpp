@@ -19,8 +19,7 @@ namespace {
 
 ClusterResult run_fig1(std::uint32_t ones, std::uint64_t seed,
                        bool inject_disconnects,
-                       std::uint32_t loop_threads = 0,
-                       Reactor::Backend backend = Reactor::Backend::automatic) {
+                       std::uint32_t loop_threads = 0) {
   const core::ConsensusParams params{5, 2};
   const auto inputs = adversary::inputs_with_ones(params.n, ones);
   ClusterConfig cfg;
@@ -28,7 +27,6 @@ ClusterResult run_fig1(std::uint32_t ones, std::uint64_t seed,
   cfg.seed = seed;
   cfg.timeout_ms = 20000;
   cfg.loop_threads = loop_threads;
-  cfg.backend = backend;
   cfg.crashes.push_back({4, 1});  // one fail-stop crash entering phase 1
   if (inject_disconnects) {
     // Cut node 0 off from every live peer early: it cannot assemble
@@ -46,8 +44,7 @@ ClusterResult run_fig1(std::uint32_t ones, std::uint64_t seed,
 
 ClusterResult run_fig2(std::uint32_t ones, std::uint64_t seed,
                        bool inject_disconnects,
-                       std::uint32_t loop_threads = 0,
-                       Reactor::Backend backend = Reactor::Backend::automatic) {
+                       std::uint32_t loop_threads = 0) {
   const core::ConsensusParams params{7, 2};
   const auto inputs = adversary::inputs_with_ones(params.n, ones);
   ClusterConfig cfg;
@@ -55,7 +52,6 @@ ClusterResult run_fig2(std::uint32_t ones, std::uint64_t seed,
   cfg.seed = seed;
   cfg.timeout_ms = 20000;
   cfg.loop_threads = loop_threads;
-  cfg.backend = backend;
   cfg.arbitrary_faulty.push_back(3);  // one silent Byzantine (k = 2 bound)
   if (inject_disconnects) {
     // Cut node 1 off from every correct peer: it cannot accept another
@@ -168,50 +164,23 @@ TEST(NetCluster, SimNetEquivalenceMixedInputsPropertiesHold) {
 // ---- Shared-loop mode ---------------------------------------------------
 // One reactor thread driving several nodes must be behaviorally identical
 // to thread-per-node: the same fault scenarios decide with the same
-// checkable properties, on both readiness backends.
-
-TEST(NetClusterSharedLoop, Fig1DecidesOnPollBackend) {
-  const ClusterResult result =
-      run_fig1(/*ones=*/2, /*seed=*/1, /*inject_disconnects=*/true,
-               /*loop_threads=*/2, Reactor::Backend::poll);
-  ASSERT_TRUE(result.success()) << "timed_out=" << result.timed_out;
-  EXPECT_TRUE(result.all_correct_decided);
-  EXPECT_TRUE(result.agreement);
-  EXPECT_GE(result.total_reconnects, 1u);
-  EXPECT_TRUE(result.nodes[4].crashed);
-}
+// checkable properties.
 
 TEST(NetClusterSharedLoop, Fig1DecidesOnEpollBackend) {
-  if (!Reactor::epoll_available()) {
-    GTEST_SKIP() << "no epoll on this platform";
-  }
   const ClusterResult result =
       run_fig1(/*ones=*/2, /*seed=*/1, /*inject_disconnects=*/true,
-               /*loop_threads=*/2, Reactor::Backend::epoll);
+               /*loop_threads=*/2);
   ASSERT_TRUE(result.success()) << "timed_out=" << result.timed_out;
   EXPECT_TRUE(result.all_correct_decided);
   EXPECT_TRUE(result.agreement);
   EXPECT_GE(result.total_reconnects, 1u);
   EXPECT_TRUE(result.nodes[4].crashed);
-}
-
-TEST(NetClusterSharedLoop, Fig2DecidesOnPollBackend) {
-  const ClusterResult result =
-      run_fig2(/*ones=*/3, /*seed=*/1, /*inject_disconnects=*/true,
-               /*loop_threads=*/3, Reactor::Backend::poll);
-  ASSERT_TRUE(result.success()) << "timed_out=" << result.timed_out;
-  EXPECT_TRUE(result.all_correct_decided);
-  EXPECT_TRUE(result.agreement);
-  EXPECT_FALSE(result.nodes[3].decision.has_value());
 }
 
 TEST(NetClusterSharedLoop, Fig2DecidesOnEpollBackend) {
-  if (!Reactor::epoll_available()) {
-    GTEST_SKIP() << "no epoll on this platform";
-  }
   const ClusterResult result =
       run_fig2(/*ones=*/3, /*seed=*/1, /*inject_disconnects=*/true,
-               /*loop_threads=*/3, Reactor::Backend::epoll);
+               /*loop_threads=*/3);
   ASSERT_TRUE(result.success()) << "timed_out=" << result.timed_out;
   EXPECT_TRUE(result.all_correct_decided);
   EXPECT_TRUE(result.agreement);

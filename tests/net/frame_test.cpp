@@ -1,13 +1,15 @@
 // Frame codec: round-trips for every frame type and every core wire
-// message, defensive rejection of malformed streams, and reassembly
-// across arbitrary read fragmentation.
+// message, defensive rejection of malformed streams (hostile bytes
+// included), and reassembly across arbitrary read fragmentation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
 #include "baselines/benor.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/messages.hpp"
 #include "net/frame.hpp"
 
@@ -257,6 +259,104 @@ TEST(FrameCodec, BufferCompactionKeepsStreamIntact) {
     }
   }
   EXPECT_EQ(seen, 40u);
+}
+
+// ---- Hostile bytes ------------------------------------------------------
+
+/// The exact bytes an encoder produces for `frame`.
+std::vector<std::byte> reencode(const Frame& frame) {
+  std::vector<std::byte> out;
+  switch (frame.type) {
+    case FrameType::hello:
+      append_hello(out, frame.node_id, frame.n);
+      break;
+    case FrameType::data:
+      append_data(out, frame.seq, frame.payload);
+      break;
+    case FrameType::ack:
+      append_ack(out, frame.seq);
+      break;
+  }
+  return out;
+}
+
+/// Feeds `input` to a fresh decoder in random fragments, draining next()
+/// after each one. Every next() must yield a frame, nothing, or throw
+/// DecodeError (any other exception fails the test; after DecodeError the
+/// stream is dead). Every accepted frame must re-encode to exactly the
+/// bytes it was decoded from, and the decoder may never hold more bytes
+/// than it was fed.
+void expect_frames_exact_or_rejected(const std::vector<std::byte>& input,
+                                     Rng& rng) {
+  FrameDecoder decoder;
+  std::size_t fed = 0;
+  while (fed < input.size()) {
+    const std::size_t chunk = std::min<std::size_t>(
+        input.size() - fed, 1 + rng.below(2 * kDataFrameHeader));
+    decoder.feed({input.data() + fed, chunk});
+    fed += chunk;
+    while (true) {
+      ASSERT_LE(decoder.buffered(), fed);
+      const std::size_t start = fed - decoder.buffered();
+      std::optional<Frame> frame;
+      try {
+        frame = decoder.next();
+      } catch (const DecodeError&) {
+        return;
+      }
+      if (!frame.has_value()) {
+        break;
+      }
+      ASSERT_LE(decoder.buffered(), fed);
+      const std::size_t end = fed - decoder.buffered();
+      const std::vector<std::byte> again = reencode(*frame);
+      ASSERT_TRUE(std::equal(again.begin(), again.end(),
+                             input.begin() + static_cast<std::ptrdiff_t>(start),
+                             input.begin() + static_cast<std::ptrdiff_t>(end)))
+          << "accepted bytes [" << start << ", " << end
+          << ") do not re-encode to themselves";
+    }
+  }
+}
+
+TEST(FrameCodec, DecoderNeverCrashesOnHostileBytes) {
+  Rng rng(123);
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::vector<std::byte> junk(rng.below(64));
+    for (auto& b : junk) {
+      b = static_cast<std::byte>(rng.below(256));
+    }
+    if (junk.size() >= 4 && rng.below(2) == 0) {
+      // A plausible length prefix gets past the size check to the body.
+      store_le(junk.data(), static_cast<std::uint32_t>(rng.below(24)));
+    }
+    expect_frames_exact_or_rejected(junk, rng);
+  }
+  // Near-valid streams reach deeper than junk: a hello/data/ack stream
+  // with each byte replaced by every value, and cut at every length.
+  std::vector<std::vector<std::byte>> streams(3);
+  append_hello(streams[0], /*node_id=*/4, /*n=*/7);
+  append_data(streams[0], /*seq=*/1, payload_of({1, 2, 3}));
+  append_ack(streams[0], /*acked_seq=*/1);
+  append_data(streams[1], /*seq=*/0xfeedULL, Bytes{});
+  append_ack(streams[1], /*acked_seq=*/0xfeedULL);
+  append_data(streams[1], /*seq=*/0xfeedULL + 1, payload_of({0xff}));
+  append_ack(streams[2], /*acked_seq=*/~0ULL);
+  append_hello(streams[2], /*node_id=*/0, /*n=*/1);
+  for (const std::vector<std::byte>& valid : streams) {
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      for (int v = 0; v < 256; ++v) {
+        std::vector<std::byte> mutated = valid;
+        mutated[i] = static_cast<std::byte>(v);
+        expect_frames_exact_or_rejected(mutated, rng);
+      }
+    }
+    for (std::size_t len = 0; len <= valid.size(); ++len) {
+      expect_frames_exact_or_rejected(
+          {valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(len)},
+          rng);
+    }
+  }
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
-// Reactor backends: registration, token round-trip, readiness dispatch,
-// mask handling (level-triggered), edge semantics (epoll), and removal.
-// Pipes stand in for sockets — readiness plumbing is fd-agnostic.
+// The epoll reactor: registration, token round-trip, readiness dispatch,
+// edge semantics and removal. Pipes stand in for sockets — readiness
+// plumbing is fd-agnostic.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/error.hpp"
 #include "net/reactor.hpp"
@@ -38,15 +35,9 @@ void write_byte(const Fd& fd) {
   ASSERT_EQ(::write(fd.get(), &byte, 1), 1);
 }
 
-void drain(const Fd& fd) {
-  char buf[64];
-  while (::read(fd.get(), buf, sizeof(buf)) > 0) {
-  }
-}
-
 /// The event carrying `token` from the last wait, or nullptr. Dispatch is
-/// by token on both backends (the epoll backend cannot report the fd:
-/// epoll_data is a union and the token occupies it).
+/// by token (epoll cannot report the fd: epoll_data is a union and the
+/// token occupies it).
 const ReactorEvent* find_event(const Reactor& r, std::uint64_t token) {
   for (const ReactorEvent& ev : r.events()) {
     if (ev.token == token) {
@@ -56,144 +47,100 @@ const ReactorEvent* find_event(const Reactor& r, std::uint64_t token) {
   return nullptr;
 }
 
-std::vector<Reactor::Backend> available_backends() {
-  std::vector<Reactor::Backend> backends{Reactor::Backend::poll};
-  if (Reactor::epoll_available()) {
-    backends.push_back(Reactor::Backend::epoll);
-  }
-  return backends;
+TEST(Reactor, EmptyWaitTimesOut) {
+  Reactor r;
+  EXPECT_EQ(r.wait(0), 0);
+  EXPECT_TRUE(r.events().empty());
 }
 
-class ReactorBackendTest
-    : public ::testing::TestWithParam<Reactor::Backend> {};
-
-std::string backend_name(
-    const ::testing::TestParamInfo<Reactor::Backend>& param_info) {
-  return param_info.param == Reactor::Backend::poll ? "poll" : "epoll";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackendTest,
-                         ::testing::ValuesIn(available_backends()),
-                         backend_name);
-
-TEST_P(ReactorBackendTest, EmptyWaitTimesOut) {
-  const auto r = Reactor::make(GetParam());
-  EXPECT_EQ(r->wait(0), 0);
-  EXPECT_TRUE(r->events().empty());
-}
-
-TEST_P(ReactorBackendTest, ReadableFdReportsReadWithItsToken) {
-  const auto r = Reactor::make(GetParam());
+TEST(Reactor, ReadableFdReportsReadWithItsToken) {
+  Reactor r;
   const Pipe p = make_pipe();
-  r->add(p.rd.get(), Reactor::kRead, 0xABCD0001u);
-  EXPECT_EQ(r->wait(0), 0) << "empty pipe must not be readable";
+  r.add(p.rd.get(), 0xABCD0001u);
+  EXPECT_EQ(r.wait(0), 0) << "empty pipe must not be readable";
   write_byte(p.wr);
-  ASSERT_GE(r->wait(1000), 1);
-  const ReactorEvent* ev = find_event(*r, 0xABCD0001u);
+  ASSERT_GE(r.wait(1000), 1);
+  const ReactorEvent* ev = find_event(r, 0xABCD0001u);
   ASSERT_NE(ev, nullptr);
   EXPECT_TRUE(ev->mask & Reactor::kRead);
-  r->remove(p.rd.get());
+  r.remove(p.rd.get());
 }
 
-TEST_P(ReactorBackendTest, WritableFdReportsWrite) {
-  const auto r = Reactor::make(GetParam());
+TEST(Reactor, WritableFdReportsWrite) {
+  Reactor r;
   const Pipe p = make_pipe();
-  r->add(p.wr.get(), Reactor::kWrite, 7);
-  ASSERT_GE(r->wait(1000), 1);
-  const ReactorEvent* ev = find_event(*r, 7);
+  r.add(p.wr.get(), 7);
+  ASSERT_GE(r.wait(1000), 1);
+  const ReactorEvent* ev = find_event(r, 7);
   ASSERT_NE(ev, nullptr);
   EXPECT_TRUE(ev->mask & Reactor::kWrite);
-  r->remove(p.wr.get());
+  r.remove(p.wr.get());
 }
 
-TEST_P(ReactorBackendTest, ModifyRetokensLiveRegistration) {
-  const auto r = Reactor::make(GetParam());
+TEST(Reactor, ModifyRetokensLiveRegistration) {
+  Reactor r;
   const Pipe p = make_pipe();
-  r->add(p.rd.get(), Reactor::kRead, 1);
-  r->modify(p.rd.get(), Reactor::kRead, 2);
+  r.add(p.rd.get(), 1);
+  r.modify(p.rd.get(), 2);
   write_byte(p.wr);
-  ASSERT_GE(r->wait(1000), 1);
-  EXPECT_EQ(find_event(*r, 1), nullptr) << "stale token must not dispatch";
-  const ReactorEvent* ev = find_event(*r, 2);
+  ASSERT_GE(r.wait(1000), 1);
+  EXPECT_EQ(find_event(r, 1), nullptr) << "stale token must not dispatch";
+  const ReactorEvent* ev = find_event(r, 2);
   ASSERT_NE(ev, nullptr);
   EXPECT_TRUE(ev->mask & Reactor::kRead);
-  r->remove(p.rd.get());
+  r.remove(p.rd.get());
 }
 
-TEST_P(ReactorBackendTest, RemovedFdNeverReportsAgain) {
-  const auto r = Reactor::make(GetParam());
+TEST(Reactor, RemovedFdNeverReportsAgain) {
+  Reactor r;
   const Pipe p = make_pipe();
-  r->add(p.rd.get(), Reactor::kRead, 9);
+  r.add(p.rd.get(), 9);
   write_byte(p.wr);
-  r->remove(p.rd.get());
-  EXPECT_EQ(r->wait(0), 0);
-  EXPECT_EQ(find_event(*r, 9), nullptr);
+  r.remove(p.rd.get());
+  EXPECT_EQ(r.wait(0), 0);
+  EXPECT_EQ(find_event(r, 9), nullptr);
 }
 
-TEST_P(ReactorBackendTest, TwoFdsDispatchIndependently) {
-  const auto r = Reactor::make(GetParam());
+TEST(Reactor, TwoFdsDispatchIndependently) {
+  Reactor r;
   const Pipe a = make_pipe();
   const Pipe b = make_pipe();
-  r->add(a.rd.get(), Reactor::kRead, 100);
-  r->add(b.rd.get(), Reactor::kRead, 200);
+  r.add(a.rd.get(), 100);
+  r.add(b.rd.get(), 200);
   write_byte(b.wr);
-  ASSERT_GE(r->wait(1000), 1);
-  EXPECT_EQ(find_event(*r, 100), nullptr) << "idle fd must not dispatch";
-  const ReactorEvent* ev = find_event(*r, 200);
+  ASSERT_GE(r.wait(1000), 1);
+  EXPECT_EQ(find_event(r, 100), nullptr) << "idle fd must not dispatch";
+  const ReactorEvent* ev = find_event(r, 200);
   ASSERT_NE(ev, nullptr);
   EXPECT_TRUE(ev->mask & Reactor::kRead);
-  r->remove(a.rd.get());
-  r->remove(b.rd.get());
-}
-
-TEST(PollReactor, IsLevelTriggeredAndHonoursMask) {
-  const auto r = Reactor::make(Reactor::Backend::poll);
-  EXPECT_FALSE(r->edge_triggered());
-  EXPECT_EQ(r->name(), "poll");
-  const Pipe p = make_pipe();
-  write_byte(p.wr);
-  // Mask 0: registered but interested in nothing — no event even though
-  // the pipe is readable.
-  r->add(p.rd.get(), 0, 5);
-  EXPECT_EQ(r->wait(0), 0);
-  // Level-triggered: once interested, the same undrained byte reports on
-  // every wait until consumed.
-  r->modify(p.rd.get(), Reactor::kRead, 5);
-  EXPECT_GE(r->wait(0), 1);
-  EXPECT_GE(r->wait(0), 1);
-  drain(p.rd);
-  EXPECT_EQ(r->wait(0), 0);
-  r->remove(p.rd.get());
+  r.remove(a.rd.get());
+  r.remove(b.rd.get());
 }
 
 TEST(EpollReactor, IsEdgeTriggeredAndReportsOncePerEdge) {
-  if (!Reactor::epoll_available()) {
-    GTEST_SKIP() << "no epoll on this platform";
-  }
-  const auto r = Reactor::make(Reactor::Backend::epoll);
-  EXPECT_TRUE(r->edge_triggered());
-  EXPECT_EQ(r->name(), "epoll");
+  Reactor r;
   const Pipe p = make_pipe();
-  r->add(p.rd.get(), Reactor::kRead, 3);
+  r.add(p.rd.get(), 3);
   write_byte(p.wr);
-  ASSERT_GE(r->wait(1000), 1);
+  ASSERT_GE(r.wait(1000), 1);
   // Edge-triggered: the byte is still buffered but no new edge occurred,
   // so the fd must not report again — the loop's sticky flags carry the
   // obligation to finish draining.
-  EXPECT_EQ(r->wait(0), 0);
+  EXPECT_EQ(r.wait(0), 0);
   write_byte(p.wr);  // a fresh edge
-  EXPECT_GE(r->wait(1000), 1);
-  r->remove(p.rd.get());
+  EXPECT_GE(r.wait(1000), 1);
+  r.remove(p.rd.get());
 }
 
-TEST(Reactor, AutomaticPrefersEpollWhereAvailable) {
-  const auto r = Reactor::make(Reactor::Backend::automatic);
-  ASSERT_NE(r, nullptr);
-  if (Reactor::epoll_available()) {
-    EXPECT_EQ(r->name(), "epoll");
-  } else {
-    EXPECT_EQ(r->name(), "poll");
-  }
+TEST(Reactor, RegistrationMisuseThrows) {
+  Reactor r;
+  const Pipe p = make_pipe();
+  EXPECT_THROW(r.modify(p.rd.get(), 1), Error) << "modify before add";
+  EXPECT_THROW(r.remove(p.rd.get()), Error) << "remove before add";
+  r.add(p.rd.get(), 1);
+  EXPECT_THROW(r.add(p.rd.get(), 2), Error) << "double add";
+  r.remove(p.rd.get());
+  EXPECT_THROW(r.remove(p.rd.get()), Error) << "double remove";
 }
 
 }  // namespace

@@ -30,8 +30,7 @@ Bytes one_byte(std::uint32_t i) {
 PeerLink adaptive_link() {
   PeerLink link;
   link.init(1, {}, false);
-  link.configure_rto(/*adaptive=*/true, /*initial_ms=*/100, /*min_ms=*/20,
-                     /*max_ms=*/2000);
+  link.configure_rto(/*initial_ms=*/100);  // bounds: kRtoMinMs, kRtoMaxMs
   return link;
 }
 
@@ -76,14 +75,6 @@ TEST(AdaptiveRto, SlowSamplesClampToTheCeiling) {
   PeerLink link = adaptive_link();
   pump_sample(link, 1, base(), milliseconds(10'000));
   EXPECT_EQ(link.rto_ms(), 2000u);
-}
-
-TEST(AdaptiveRto, FixedModeIgnoresSamples) {
-  PeerLink link;
-  link.init(1, {}, false);
-  link.configure_rto(/*adaptive=*/false, 100, 20, 2000);
-  pump_sample(link, 1, base(), milliseconds(3));
-  EXPECT_EQ(link.rto_ms(), 100u);
 }
 
 TEST(AdaptiveRto, KarnExcludesRetransmittedFrames) {
