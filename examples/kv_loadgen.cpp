@@ -1,7 +1,7 @@
 // Client load generator for the consensus-backed KV service
 // (docs/SERVICE.md): drive ≥100k writes through the replicated log and
-// report ops/sec, p50/p99/p999 apply latency, and frames-per-op — the
-// batching-effectiveness metric the rcp-svc-v1 gate tracks.
+// report ops/sec, p50/p99/p999 apply latency, and frames-per-op — how
+// well the replica's per-step batching coalesces its messages.
 //
 // Two transports, one replica:
 //   --mode sim   G independent deterministic groups on a TrialPool (the
@@ -14,13 +14,12 @@
 //
 // Latency is origination->apply on the owner replica (consensus latency;
 // queue wait before the window admits an op is excluded — the same
-// definition sim mode uses, so the two modes are comparable).
-//
-// --batching both runs the workload twice — batched and unbatched — and
-// reports both, so the report itself demonstrates the frame reduction.
+// definition sim mode uses, so the two modes are comparable). Each run
+// also checks every replica against a reference store built by applying
+// each client's script in order; a mismatch reports `ok NO` and exits 1.
 //
 //   $ ./kv_loadgen --mode sim --ops 100000 --json svc.json
-//   $ ./kv_loadgen --mode net --n 7 --ops 100000 --batching both
+//   $ ./kv_loadgen --mode net --n 7 --ops 100000
 //
 // Options:
 //   --mode sim|net          (default sim)
@@ -28,7 +27,6 @@
 //   --shards S              shards per replica (default 4)
 //   --ops OPS               total client writes per run (default 100000)
 //   --window W              per-shard origination window (default 64)
-//   --batching on|off|both  (default both)
 //   --groups G              sim mode: independent groups (default 4)
 //   --threads T             sim mode: TrialPool size (default: cores)
 //   --seed S                (default 1)
@@ -71,7 +69,6 @@ struct Options {
   std::uint32_t shards = 4;
   std::uint64_t ops = 100000;
   std::uint32_t window = 64;
-  std::string batching = "both";
   std::uint32_t groups = 4;
   std::uint32_t threads = 0;
   std::uint64_t seed = 1;
@@ -84,7 +81,6 @@ struct Options {
 /// the JSON writer see a single shape.
 struct RunReport {
   std::string label;
-  bool batching = false;
   std::uint64_t ops = 0;
   double wall_seconds = 0;
   double ops_per_sec = 0;
@@ -97,13 +93,14 @@ struct RunReport {
   std::uint64_t batches = 0;
   std::uint64_t batched_msgs = 0;
   std::uint64_t unbatched_msgs = 0;
+  /// Converged, and every replica matches the reference store.
   bool ok = false;
 };
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--mode sim|net] [--n N] [--k K] [--shards S] [--ops OPS]\n"
-               "       [--window W] [--batching on|off|both] [--groups G]\n"
+               "       [--window W] [--groups G]\n"
                "       [--threads T] [--seed S] [--timeout-ms T]\n"
                "       [--loop-threads T] [--json PATH]\n";
   return 2;
@@ -142,14 +139,6 @@ std::optional<Options> parse(int argc, char** argv) {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
         opt.window = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--batching") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.batching = v;
-        if (opt.batching != "on" && opt.batching != "off" &&
-            opt.batching != "both") {
-          return std::nullopt;
-        }
       } else if (flag == "--groups") {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
@@ -186,7 +175,7 @@ std::optional<Options> parse(int argc, char** argv) {
 
 // ---- sim mode -----------------------------------------------------------
 
-RunReport run_sim(const Options& opt, bool batching) {
+RunReport run_sim(const Options& opt) {
   service::SimLoadgenConfig cfg;
   cfg.group.params =
       core::ConsensusParams{opt.n, opt.k.value_or((opt.n - 1) / 3)};
@@ -194,16 +183,13 @@ RunReport run_sim(const Options& opt, bool batching) {
   // `ops` is the whole-run budget; each group carries an equal slice.
   cfg.group.total_ops = std::max<std::uint64_t>(1, opt.ops / opt.groups);
   cfg.group.window = opt.window;
-  cfg.group.batching = batching;
   cfg.group.seed = opt.seed;
   cfg.groups = opt.groups;
   cfg.threads = opt.threads;
 
   const service::SimLoadgenResult r = service::run_sim_loadgen(cfg);
   RunReport report;
-  report.label = "sim_n" + std::to_string(opt.n) +
-                 (batching ? "_batched" : "_unbatched");
-  report.batching = batching;
+  report.label = "sim_n" + std::to_string(opt.n);
   report.ops = r.total_ops;
   report.wall_seconds = r.wall_seconds;
   report.ops_per_sec = r.ops_per_sec;
@@ -261,7 +247,7 @@ class QueueOpSource final : public service::OpSource {
   std::vector<std::deque<Clock::time_point>> stamps_ RCP_GUARDED_BY(mu_);
 };
 
-RunReport run_net(const Options& opt, bool batching) {
+RunReport run_net(const Options& opt) {
   const core::ConsensusParams params{opt.n,
                                      opt.k.value_or((opt.n - 1) / 3)};
   const service::Workload workload =
@@ -281,8 +267,9 @@ RunReport run_net(const Options& opt, bool batching) {
   // into originations between message arrivals.
   cc.limits.idle_tick_ms = 1;
   // The default queue bound models lossy faulty-process behaviour; a load
-  // generator measuring throughput needs the transport lossless, and an
-  // unbatched run at full window pushes thousands of frames per link.
+  // generator measuring throughput needs the transport lossless, so the
+  // bound sits far above the unacked backlog a link builds while its
+  // peer's loop is descheduled.
   cc.limits.max_queued_frames = std::size_t{1} << 17;
   cc.limits.backpressure_high_water = std::size_t{1} << 16;
   cc.loop_threads = opt.loop_threads;
@@ -291,7 +278,6 @@ RunReport run_net(const Options& opt, bool batching) {
     service::ReplicaConfig rc;
     rc.params = params;
     rc.shards = opt.shards;
-    rc.batching = batching;
     rc.window = opt.window;
     rc.expected_per_origin = workload.expected_per_origin;
     return std::make_unique<service::KvReplica>(rc, sources[id]);
@@ -332,11 +318,9 @@ RunReport run_net(const Options& opt, bool batching) {
 
   RunReport report;
   report.label = "net_n" + std::to_string(opt.n) +
-                 (batching ? "_batched" : "_unbatched") +
                  (opt.loop_threads > 0
                       ? "_shared" + std::to_string(opt.loop_threads)
                       : "");
-  report.batching = batching;
   report.ops = workload.total_ops;
   report.wall_seconds = result.elapsed_seconds;
   if (result.elapsed_seconds > 0) {
@@ -361,60 +345,44 @@ RunReport run_net(const Options& opt, bool batching) {
     report.frames_per_op = static_cast<double>(report.frames) /
                            static_cast<double>(workload.total_ops);
   }
-  std::uint64_t first_digest = 0;
-  bool digests_equal = true;
+  const std::uint64_t want = service::correct_stream_digest(
+      service::reference_store(workload), workload.correct, opt.shards);
+  bool digests_ok = true;
   for (ProcessId p = 0; p < opt.n; ++p) {
-    const std::uint64_t d =
-        service::correct_stream_digest(*replicas[p], opt.n, opt.shards);
-    if (p == 0) {
-      first_digest = d;
-    } else if (d != first_digest) {
-      digests_equal = false;
-    }
+    const std::uint64_t got = service::correct_stream_digest(
+        replicas[p]->store(), workload.correct, opt.shards);
+    digests_ok = digests_ok && got == want;
     report.batches += replicas[p]->batcher_stats().batches;
     report.batched_msgs += replicas[p]->batcher_stats().batched_msgs;
     report.unbatched_msgs += replicas[p]->batcher_stats().unbatched_msgs;
   }
-  report.ok = result.all_correct_decided && digests_equal;
+  report.ok = result.all_correct_decided && digests_ok;
   return report;
 }
 
 // ---- reporting ----------------------------------------------------------
 
-void print_reports(const Options& opt, const std::vector<RunReport>& runs) {
+void print_report(const Options& opt, const RunReport& r) {
   std::cout << "kv_loadgen: mode=" << opt.mode << " n=" << opt.n
             << " shards=" << opt.shards << " ops=" << opt.ops
             << " window=" << opt.window << " seed=" << opt.seed << "\n";
   Table table({"run", "ops", "wall_s", "ops/sec", "p50_ms", "p99_ms",
                "p999_ms", "frames/op", "batches", "ok"});
-  for (const RunReport& r : runs) {
-    table.row()
-        .cell(r.label)
-        .cell(r.ops)
-        .cell(r.wall_seconds, 3)
-        .cell(r.ops_per_sec, 1)
-        .cell(r.p50_ms, 3)
-        .cell(r.p99_ms, 3)
-        .cell(r.p999_ms, 3)
-        .cell(r.frames_per_op, 2)
-        .cell(r.batches)
-        .cell(r.ok ? "yes" : "NO");
-  }
+  table.row()
+      .cell(r.label)
+      .cell(r.ops)
+      .cell(r.wall_seconds, 3)
+      .cell(r.ops_per_sec, 1)
+      .cell(r.p50_ms, 3)
+      .cell(r.p99_ms, 3)
+      .cell(r.p999_ms, 3)
+      .cell(r.frames_per_op, 2)
+      .cell(r.batches)
+      .cell(r.ok ? "yes" : "NO");
   table.print(std::cout);
-  if (runs.size() == 2) {
-    // [0] batched, [1] unbatched by construction.
-    const double ratio =
-        runs[0].frames_per_op > 0
-            ? runs[1].frames_per_op / runs[0].frames_per_op
-            : 0.0;
-    std::cout << "batching : " << format_double(runs[1].frames_per_op, 2)
-              << " -> " << format_double(runs[0].frames_per_op, 2)
-              << " frames/op (" << format_double(ratio, 2)
-              << "x reduction)\n";
-  }
 }
 
-int write_json(const Options& opt, const std::vector<RunReport>& runs) {
+int write_json(const Options& opt, const RunReport& r) {
   std::ofstream out(opt.json_path);
   if (!out) {
     std::cerr << "error: cannot open " << opt.json_path << " for writing\n";
@@ -435,29 +403,22 @@ int write_json(const Options& opt, const std::vector<RunReport>& runs) {
   }
   j.key("runs");
   j.begin_array();
-  for (const RunReport& r : runs) {
-    j.begin_object();
-    j.field("label", r.label);
-    j.field("batching", r.batching);
-    j.field("ops", r.ops);
-    j.field("wall_seconds", r.wall_seconds);
-    j.field("ops_per_sec", r.ops_per_sec);
-    j.field("p50_ms", r.p50_ms);
-    j.field("p99_ms", r.p99_ms);
-    j.field("p999_ms", r.p999_ms);
-    j.field("frames", r.frames);
-    j.field("frames_per_op", r.frames_per_op);
-    j.field("batches", r.batches);
-    j.field("batched_msgs", r.batched_msgs);
-    j.field("unbatched_msgs", r.unbatched_msgs);
-    j.field("ok", r.ok);
-    j.end_object();
-  }
+  j.begin_object();
+  j.field("label", r.label);
+  j.field("ops", r.ops);
+  j.field("wall_seconds", r.wall_seconds);
+  j.field("ops_per_sec", r.ops_per_sec);
+  j.field("p50_ms", r.p50_ms);
+  j.field("p99_ms", r.p99_ms);
+  j.field("p999_ms", r.p999_ms);
+  j.field("frames", r.frames);
+  j.field("frames_per_op", r.frames_per_op);
+  j.field("batches", r.batches);
+  j.field("batched_msgs", r.batched_msgs);
+  j.field("unbatched_msgs", r.unbatched_msgs);
+  j.field("ok", r.ok);
+  j.end_object();
   j.end_array();
-  if (runs.size() == 2 && runs[0].frames_per_op > 0) {
-    j.field("frames_per_op_reduction",
-            runs[1].frames_per_op / runs[0].frames_per_op);
-  }
   j.end_object();
   out << "\n";
   std::cout << "[json] wrote " << opt.json_path << "\n";
@@ -474,30 +435,15 @@ int main(int argc, char** argv) {
   const Options& opt = *parsed;
 
   try {
-    std::vector<RunReport> runs;
-    // "both" runs batched first so runs[0]/runs[1] line up with the
-    // reduction summary.
-    if (opt.batching != "off") {
-      runs.push_back(opt.mode == "sim" ? run_sim(opt, true)
-                                       : run_net(opt, true));
-    }
-    if (opt.batching != "on") {
-      runs.push_back(opt.mode == "sim" ? run_sim(opt, false)
-                                       : run_net(opt, false));
-    }
-    print_reports(opt, runs);
+    const RunReport report = opt.mode == "sim" ? run_sim(opt) : run_net(opt);
+    print_report(opt, report);
     if (!opt.json_path.empty()) {
-      const int rc = write_json(opt, runs);
+      const int rc = write_json(opt, report);
       if (rc != 0) {
         return rc;
       }
     }
-    for (const RunReport& r : runs) {
-      if (!r.ok) {
-        return 1;
-      }
-    }
-    return 0;
+    return report.ok ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

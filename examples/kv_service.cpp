@@ -3,8 +3,9 @@
 //
 // Runs one deterministic simulation of n replicas (one seat Byzantine) over
 // a generated workload, then shows what the service guarantees: every
-// correct replica applied the same ops in the same per-stream order, so
-// their state digests match — even with an equivocator in the mesh.
+// correct replica applied each correct client's ops in that client's
+// order, so its correct-stream digest matches the reference store built
+// straight from the scripts — even with an equivocator in the mesh.
 //
 //   $ ./kv_service
 //   $ ./kv_service --n 7 --shards 4 --ops 5000 --adversary babbler
@@ -15,7 +16,6 @@
 //   --ops OPS             total client writes (default 2000)
 //   --adversary none|equivocator|babbler|lane_jammer   (default equivocator)
 //   --byz B               byzantine seats (default 1, 0 with none)
-//   --no-batching         disable cross-instance frame batching
 //   --seed S              (default 1)
 #include <iostream>
 #include <optional>
@@ -35,7 +35,6 @@ struct Options {
   std::uint64_t ops = 2000;
   std::string adversary = "equivocator";
   std::optional<std::uint32_t> byz;
-  bool batching = true;
   std::uint64_t seed = 1;
 };
 
@@ -43,8 +42,7 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--n N] [--k K] [--shards S] [--ops OPS]\n"
                "       [--adversary none|equivocator|babbler|lane_jammer]\n"
-               "       [--byz B]\n"
-               "       [--no-batching] [--seed S]\n";
+               "       [--byz B] [--seed S]\n";
   return 2;
 }
 
@@ -84,8 +82,6 @@ std::optional<Options> parse(int argc, char** argv) {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
         opt.byz = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--no-batching") {
-        opt.batching = false;
       } else if (flag == "--seed") {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
@@ -113,7 +109,6 @@ int main(int argc, char** argv) {
   cfg.params = core::ConsensusParams{opt.n, opt.k.value_or((opt.n - 1) / 3)};
   cfg.shards = opt.shards;
   cfg.total_ops = opt.ops;
-  cfg.batching = opt.batching;
   cfg.seed = opt.seed;
   cfg.adversary = opt.adversary == "equivocator"
                       ? service::KvAdversaryKind::equivocator
@@ -130,8 +125,7 @@ int main(int argc, char** argv) {
     std::cout << "service  : n=" << opt.n << " k=" << cfg.params.k
               << " shards=" << opt.shards << " ops=" << opt.ops
               << " adversary=" << opt.adversary << "(" << cfg.byzantine
-              << ")"
-              << " batching=" << (opt.batching ? "on" : "off") << "\n";
+              << ")\n";
     Table table({"replica", "correct-stream digest", "full digest"});
     for (std::size_t i = 0; i < r.correct_ids.size(); ++i) {
       table.row()
@@ -152,10 +146,10 @@ int main(int argc, char** argv) {
               << "  engine drops=" << r.engine_drops
               << "  admission drops=" << r.admission_drops << "\n"
               << "replicas : "
-              << (r.correct_streams_equal ? "state digests MATCH"
-                                          : "state digests DIVERGED")
-              << "\n";
-    return r.status == sim::RunStatus::all_decided && r.correct_streams_equal
+              << (r.matches_reference ? "correct streams MATCH"
+                                      : "correct streams DIVERGED from")
+              << " the reference " << r.reference_digest << "\n";
+    return r.status == sim::RunStatus::all_decided && r.matches_reference
                ? 0
                : 1;
   } catch (const std::exception& e) {

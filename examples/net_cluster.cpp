@@ -2,16 +2,13 @@
 //
 // Every node is a full net::Node — framed sockets, identity handshake,
 // reliable delivery, reconnect — hosting the same sim::Process the
-// simulator runs. The default mode runs all n nodes as threads in this
-// process on ephemeral loopback ports; --fork runs each node as its own
-// OS process on base_port + id (the closest thing to a deployment the
-// loopback allows). Every event loop is edge-triggered epoll, so the
-// driver runs on Linux only.
+// simulator runs. All n nodes run in this process on ephemeral loopback
+// ports, one thread per node or on shared event loops. Every event loop is
+// edge-triggered epoll, so the driver runs on Linux only.
 //
 //   $ ./net_cluster --protocol fig1 --n 5 --crash 4@1
 //   $ ./net_cluster --protocol fig2 --n 7 --adversary silent --byz 1
 //         --disconnect 0:1@5 --drop 0.02 --json run.json
-//   $ ./net_cluster --protocol fig2 --n 7 --fork --base-port 19400
 //   (each invocation on one line)
 //
 // Options:
@@ -33,18 +30,11 @@
 //   --sweep N1,N2,...       benchmark sweep: run the protocol at each n,
 //                           thread-per-node and shared-loop side by side,
 //                           and write an rcp-net-sweep-v1 report to --json
-//   --fork --base-port P    one OS process per node on ports P..P+n-1
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <csignal>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adversary/byzantine.hpp"
@@ -77,8 +67,6 @@ struct Options {
   std::uint64_t seed = 1;
   std::uint32_t timeout_ms = 30000;
   std::string json_path;
-  bool fork_mode = false;
-  std::uint16_t base_port = 0;
   std::uint32_t loop_threads = 0;
   std::vector<std::uint32_t> sweep_ns;
 };
@@ -91,8 +79,7 @@ int usage(const char* argv0) {
          " [--byz B]\n"
          "       [--crash ID@PHASE]... [--disconnect A:B@D]...\n"
          "       [--drop P] [--delay MIN:MAX] [--seed S] [--timeout-ms T]\n"
-         "       [--loop-threads T] [--json PATH] [--sweep N1,N2,...]\n"
-         "       [--fork --base-port P]\n";
+         "       [--loop-threads T] [--json PATH] [--sweep N1,N2,...]\n";
   return 2;
 }
 
@@ -213,12 +200,6 @@ std::optional<Options> parse(int argc, char** argv) {
           pos = end + 1;
         }
         if (opt.sweep_ns.empty()) return std::nullopt;
-      } else if (flag == "--fork") {
-        opt.fork_mode = true;
-      } else if (flag == "--base-port") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.base_port = static_cast<std::uint16_t>(std::stoul(v));
       } else {
         return std::nullopt;
       }
@@ -226,15 +207,10 @@ std::optional<Options> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (opt.fork_mode && opt.base_port == 0) {
-    std::cerr << "--fork needs --base-port (forked nodes cannot exchange "
-                 "ephemeral ports)\n";
-    return std::nullopt;
-  }
   return opt;
 }
 
-/// The resolved run plan shared by the thread and fork modes.
+/// The resolved run plan shared by the single-run and sweep modes.
 struct Plan {
   std::uint32_t k = 0;
   std::vector<Value> inputs;
@@ -299,7 +275,6 @@ net::ClusterConfig cluster_config(const Options& opt, const Plan& plan) {
   net::ClusterConfig cfg;
   cfg.n = opt.n;
   cfg.seed = opt.seed;
-  cfg.base_port = opt.fork_mode ? opt.base_port : std::uint16_t{0};
   cfg.link_faults.drop_probability = opt.drop;
   cfg.link_faults.delay_min_ms = opt.delay_min;
   cfg.link_faults.delay_max_ms = opt.delay_max;
@@ -319,9 +294,9 @@ net::LatencyHistogram merged_latency(const net::ClusterResult& result) {
   return merged;
 }
 
-int report_thread_mode(const Options& opt, const Plan& plan,
-                       const net::ClusterConfig& cfg,
-                       const net::ClusterResult& result) {
+int report_run(const Options& opt, const Plan& plan,
+               const net::ClusterConfig& cfg,
+               const net::ClusterResult& result) {
   std::cout << "protocol : " << opt.protocol << "  n=" << opt.n
             << " k=" << plan.k << " seed=" << opt.seed
             << " transport=tcp-loopback";
@@ -523,130 +498,6 @@ int run_sweep(const Options& opt) {
   return 0;
 }
 
-/// One forked node: run until decided (correct) or stopped, then report
-/// through the exit code — 10 + value for a decision, 0 for a faulty node
-/// that was terminated as planned, 1 for a correct node that never decided.
-int run_fork_child(const Options& opt, const Plan& plan, ProcessId id) {
-  net::NodeConfig nc;
-  nc.id = id;
-  nc.n = opt.n;
-  nc.listen_port = static_cast<std::uint16_t>(opt.base_port + id);
-  nc.seed = opt.seed;
-  nc.faults.link.drop_probability = opt.drop;
-  nc.faults.link.delay_min_ms = opt.delay_min;
-  nc.faults.link.delay_max_ms = opt.delay_max;
-  for (const auto& [node, event] : opt.disconnects) {
-    if (node == id) {
-      nc.faults.disconnects.push_back(event);
-    }
-  }
-  bool correct = true;
-  for (const auto& [node, phase] : opt.crashes) {
-    if (node == id) {
-      nc.crash_at_phase = phase;
-      correct = false;
-    }
-  }
-  for (const ProcessId b : plan.byzantine_ids) {
-    if (b == id) {
-      correct = false;
-    }
-  }
-  for (ProcessId p = 0; p < opt.n; ++p) {
-    nc.peers.push_back(net::PeerAddress{
-        "127.0.0.1", static_cast<std::uint16_t>(opt.base_port + p)});
-  }
-
-  net::Node node(nc, make_process(opt, plan, id));
-  std::thread runner([&node] { node.run(); });
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(opt.timeout_ms);
-  std::optional<Value> decision;
-  while (std::chrono::steady_clock::now() < deadline) {
-    decision = node.decision();
-    if (decision.has_value() || node.crashed()) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  if (decision.has_value()) {
-    // Keep echoing long enough for slower peers to assemble their
-    // quorums; the parent reaps us on exit either way.
-    std::this_thread::sleep_for(std::chrono::milliseconds(750));
-  }
-  node.request_stop();
-  runner.join();
-  std::cout << "node " << id << ": "
-            << (decision.has_value()
-                    ? "decided " + std::to_string(value_index(*decision))
-                    : node.crashed() ? std::string("crashed")
-                                     : std::string("no decision"))
-            << "\n";
-  std::cout.flush();  // the caller exits with _exit(), which skips flushing
-  if (decision.has_value()) {
-    return 10 + static_cast<int>(value_index(*decision));
-  }
-  return correct ? 1 : 0;
-}
-
-int run_fork_mode(const Options& opt, const Plan& plan) {
-  std::vector<pid_t> pids(opt.n, -1);
-  std::vector<bool> correct(opt.n, true);
-  for (const auto& [node, phase] : opt.crashes) {
-    (void)phase;
-    if (node < opt.n) correct[node] = false;
-  }
-  for (const ProcessId b : plan.byzantine_ids) {
-    correct[b] = false;
-  }
-
-  for (ProcessId id = 0; id < opt.n; ++id) {
-    const pid_t pid = fork();
-    if (pid < 0) {
-      std::cerr << "fork failed\n";
-      return 1;
-    }
-    if (pid == 0) {
-      _exit(run_fork_child(opt, plan, id));
-    }
-    pids[id] = pid;
-  }
-
-  bool all_decided = true;
-  bool agreement = true;
-  std::optional<int> agreed_code;
-  for (ProcessId id = 0; id < opt.n; ++id) {
-    if (!correct[id]) {
-      continue;  // reaped below, after the correct nodes are done
-    }
-    int status = 0;
-    waitpid(pids[id], &status, 0);
-    const int code = WIFEXITED(status) ? WEXITSTATUS(status) : 1;
-    if (code < 10) {
-      all_decided = false;
-    } else if (!agreed_code.has_value()) {
-      agreed_code = code;
-    } else if (*agreed_code != code) {
-      agreement = false;
-    }
-  }
-  for (ProcessId id = 0; id < opt.n; ++id) {
-    if (!correct[id]) {
-      kill(pids[id], SIGTERM);
-      int status = 0;
-      waitpid(pids[id], &status, 0);
-    }
-  }
-  std::cout << "decided  : "
-            << (all_decided ? "all correct nodes" : "INCOMPLETE")
-            << "\nagreement: " << (agreement ? "holds" : "VIOLATED");
-  if (agreement && agreed_code.has_value()) {
-    std::cout << " (value " << (*agreed_code - 10) << ")";
-  }
-  std::cout << "\n";
-  return all_decided && agreement ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -660,15 +511,12 @@ int main(int argc, char** argv) {
     if (!opt.sweep_ns.empty()) {
       return run_sweep(opt);
     }
-    if (opt.fork_mode) {
-      return run_fork_mode(opt, plan);
-    }
     const net::ClusterConfig cfg = cluster_config(opt, plan);
     net::Cluster cluster(cfg, [&](ProcessId id) {
       return make_process(opt, plan, id);
     });
     const net::ClusterResult result = cluster.run();
-    return report_thread_mode(opt, plan, cfg, result);
+    return report_run(opt, plan, cfg, result);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -33,7 +33,6 @@ net::ClusterConfig nemesis_cluster_config(const SchedulePlan& plan,
   net::ClusterConfig cluster;
   cluster.n = spec.params.n;
   cluster.seed = spec.seed;
-  cluster.base_port = cfg.base_port;
   cluster.timeout_ms = cfg.timeout_ms;
   cluster.loop_threads = cfg.loop_threads;
 

@@ -23,8 +23,6 @@ struct NemesisConfig {
   /// 0 = one thread per node; T > 0 = shared loops (see net::Cluster).
   std::uint32_t loop_threads = 0;
   std::uint32_t timeout_ms = 30000;
-  /// 0 = ephemeral ports (parallel-test safe).
-  std::uint16_t base_port = 0;
 };
 
 struct NemesisResult {

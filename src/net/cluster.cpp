@@ -37,11 +37,6 @@ Cluster::Cluster(ClusterConfig cfg, const ProcessFactory& factory)
     NodeConfig nc;
     nc.id = id;
     nc.n = cfg_.n;
-    nc.listen_host = cfg_.host;
-    nc.listen_port =
-        cfg_.base_port == 0
-            ? std::uint16_t{0}
-            : static_cast<std::uint16_t>(cfg_.base_port + id);
     nc.seed = cfg_.seed;
     nc.limits = cfg_.limits;
     nc.faults.link = cfg_.link_faults;
@@ -63,8 +58,8 @@ Cluster::Cluster(ClusterConfig cfg, const ProcessFactory& factory)
   (void)raise_fd_limit(static_cast<std::size_t>(cfg_.n) * cfg_.n +
                        static_cast<std::size_t>(cfg_.n) * 4 + 64);
 
-  // Bind everything first, then distribute the real ports: with ephemeral
-  // ports nobody knows an address until every listener exists.
+  // Bind everything first, then distribute the real ports: nobody knows
+  // an ephemeral port until its listener exists.
   std::vector<std::uint16_t> ports(cfg_.n, 0);
   for (ProcessId id = 0; id < cfg_.n; ++id) {
     ports[id] = nodes_[id]->listen();
@@ -72,7 +67,7 @@ Cluster::Cluster(ClusterConfig cfg, const ProcessFactory& factory)
   for (ProcessId id = 0; id < cfg_.n; ++id) {
     for (ProcessId p = 0; p < cfg_.n; ++p) {
       if (p != id) {
-        nodes_[id]->set_peer(p, PeerAddress{cfg_.host, ports[p]});
+        nodes_[id]->set_peer(p, PeerAddress{kLoopbackHost, ports[p]});
       }
     }
   }

@@ -13,11 +13,9 @@
 // how n=100 full-mesh (~10k sockets) runs on single-digit threads.
 // Protocol semantics are identical; only the scheduler changes.
 //
-// Ports: by default every node binds an ephemeral port (bind 0, read the
+// Ports: every node binds an ephemeral loopback port (bind 0, read the
 // real port back) and the cluster distributes the port table before any
-// thread starts, so parallel test runs never collide. A non-zero
-// base_port pins node i to base_port + i instead (the multi-process
-// deployment pattern; see examples/net_cluster --fork).
+// thread starts, so parallel test runs never collide.
 //
 // Faultiness: a node is *faulty* if it hosts a Byzantine process
 // (arbitrary_faulty) or is scheduled to fail-stop (crashes). Decision and
@@ -41,10 +39,6 @@ namespace rcp::net {
 struct ClusterConfig {
   std::uint32_t n = 0;
   std::uint64_t seed = 1;
-  std::string host = "127.0.0.1";
-  /// 0 = ephemeral port per node; otherwise node i listens on
-  /// base_port + i.
-  std::uint16_t base_port = 0;
   NodeLimits limits;
   /// Drop/delay injection applied at every node.
   LinkFaults link_faults;

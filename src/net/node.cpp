@@ -97,14 +97,11 @@ Node::Node(NodeConfig cfg, std::unique_ptr<sim::Process> process)
   RCP_EXPECT(cfg_.n >= 1, "node needs a cluster size of at least 1");
   RCP_EXPECT(cfg_.id < cfg_.n, "node id outside [0, n)");
   RCP_EXPECT(process_ != nullptr, "null process");
-  RCP_EXPECT(cfg_.peers.empty() || cfg_.peers.size() == cfg_.n,
-             "peer table must have one entry per node");
-  cfg_.peers.resize(cfg_.n);
   links_.resize(cfg_.n);
   for (ProcessId p = 0; p < cfg_.n; ++p) {
     // Dial direction: higher id dials lower, so every pair has exactly
     // one connection and dial races are impossible.
-    links_[p].init(p, cfg_.peers[p], /*dialer=*/p < cfg_.id);
+    links_[p].init(p, PeerAddress{}, /*dialer=*/p < cfg_.id);
     links_[p].configure_rto(cfg_.limits.retransmit_timeout_ms);
   }
   stats_.peers.resize(cfg_.n);
@@ -131,7 +128,7 @@ Node::~Node() {
 std::uint16_t Node::listen() {
   assert_driving();  // setup phase, or loop_start on the loop thread
   if (!listening_) {
-    listener_ = listen_on(cfg_.listen_host, cfg_.listen_port);
+    listener_ = listen_on(kLoopbackHost, 0);
     listening_ = true;
   }
   return listener_.port;
@@ -140,7 +137,6 @@ std::uint16_t Node::listen() {
 void Node::set_peer(ProcessId p, PeerAddress addr) {
   assert_driving();  // setup phase: the loop is not running yet
   RCP_EXPECT(p < cfg_.n, "unknown peer id");
-  cfg_.peers[p] = addr;
   links_[p].init(p, std::move(addr), links_[p].dialer());
 }
 

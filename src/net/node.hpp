@@ -83,12 +83,6 @@ struct NodeLimits {
 struct NodeConfig {
   ProcessId id = 0;
   std::uint32_t n = 0;
-  std::string listen_host = "127.0.0.1";
-  /// 0 binds an ephemeral port; listen() returns the real one.
-  std::uint16_t listen_port = 0;
-  /// Address of every node, indexed by id (entry [id] is ignored). May be
-  /// filled in after construction via set_peer().
-  std::vector<PeerAddress> peers;
   std::uint64_t seed = 1;
   FaultPlan faults;
   NodeLimits limits;
@@ -106,13 +100,12 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Binds the listener now and returns the bound port (the config port,
-  /// or the ephemeral port when the config said 0). Idempotent; run()
-  /// calls it if the caller did not.
+  /// Binds the listener on an ephemeral loopback port now and returns it.
+  /// Idempotent; run() calls it if the caller did not.
   std::uint16_t listen();
 
-  /// Fills in a peer's address (the in-process cluster binds every
-  /// listener first, then distributes the ephemeral ports).
+  /// Fills in a peer's address (the cluster binds every listener first,
+  /// then distributes the ephemeral ports). Set every peer before run().
   void set_peer(ProcessId p, PeerAddress addr);
 
   /// Runs a private single-node EventLoop on the calling thread until

@@ -39,10 +39,13 @@ class Fd {
   int fd_ = -1;
 };
 
-/// A network endpoint. Only IPv4 dotted-quad hosts are supported (the
-/// transport targets loopback clusters and LAN meshes).
+/// The one host every listener binds and every dial targets: the
+/// transport runs loopback clusters.
+inline constexpr const char* kLoopbackHost = "127.0.0.1";
+
+/// A network endpoint. Only IPv4 dotted-quad hosts are supported.
 struct PeerAddress {
-  std::string host = "127.0.0.1";
+  std::string host = kLoopbackHost;
   std::uint16_t port = 0;
 };
 

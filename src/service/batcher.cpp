@@ -4,65 +4,27 @@
 
 namespace rcp::service {
 
-RbxBatcher::RbxBatcher(std::uint32_t n, bool enabled, std::size_t max_batch)
-    : enabled_(enabled), max_batch_(max_batch), peer_lanes_(n) {}
-
 void RbxBatcher::queue_broadcast(Context& ctx, const ext::RbxMsg& m) {
-  if (!enabled_) {
-    ++stats_.unbatched_msgs;
-    ctx.broadcast(m.encode());
-    return;
+  lane_.push_back(m);
+  if (lane_.size() >= ext::RbxBatch::kMaxMessages) {
+    flush(ctx);
   }
-  broadcast_lane_.push_back(m);
-  if (broadcast_lane_.size() >= max_batch_) {
-    emit_lane(ctx, broadcast_lane_, /*broadcast=*/true, 0);
-  }
-}
-
-void RbxBatcher::queue_send(Context& ctx, ProcessId to, const ext::RbxMsg& m) {
-  if (!enabled_) {
-    ++stats_.unbatched_msgs;
-    ctx.send(to, m.encode());
-    return;
-  }
-  auto& lane = peer_lanes_[to];
-  lane.push_back(m);
-  if (lane.size() >= max_batch_) {
-    emit_lane(ctx, lane, /*broadcast=*/false, to);
-  }
-}
-
-void RbxBatcher::emit_lane(Context& ctx, std::vector<ext::RbxMsg>& lane,
-                           bool broadcast, ProcessId to) {
-  if (lane.empty()) {
-    return;
-  }
-  Bytes payload;
-  if (lane.size() == 1) {
-    // A one-message batch would only add framing overhead.
-    ++stats_.unbatched_msgs;
-    payload = lane[0].encode();
-  } else {
-    ++stats_.batches;
-    stats_.batched_msgs += lane.size();
-    payload = ext::RbxBatch::encode(std::span<const ext::RbxMsg>(lane));
-  }
-  if (broadcast) {
-    ctx.broadcast(payload);
-  } else {
-    ctx.send(to, std::move(payload));
-  }
-  lane.clear();
 }
 
 void RbxBatcher::flush(Context& ctx) {
-  if (!enabled_) {
+  if (lane_.empty()) {
     return;
   }
-  emit_lane(ctx, broadcast_lane_, /*broadcast=*/true, 0);
-  for (ProcessId p = 0; p < peer_lanes_.size(); ++p) {
-    emit_lane(ctx, peer_lanes_[p], /*broadcast=*/false, p);
+  if (lane_.size() == 1) {
+    // A one-message batch would only add framing overhead.
+    ++stats_.unbatched_msgs;
+    ctx.broadcast(lane_[0].encode());
+  } else {
+    ++stats_.batches;
+    stats_.batched_msgs += lane_.size();
+    ctx.broadcast(ext::RbxBatch::encode(std::span<const ext::RbxMsg>(lane_)));
   }
+  lane_.clear();
 }
 
 }  // namespace rcp::service

@@ -2,15 +2,14 @@
 //
 // During one atomic step a replica can emit dozens of RbxMsgs — echoes and
 // readies of many concurrent instances across all shards, plus its own new
-// initials. Sent individually, each costs one transport frame per peer; the
-// batcher instead queues them per destination and flushes once per step,
-// packing every lane into a single RbxBatch payload — one frame per peer
-// per flush, which is where the measured frames-per-op drop comes from
-// (docs/SERVICE.md "Batching").
+// initials. Sent individually, each would cost one transport frame per
+// peer; the batcher instead queues them and flushes once per step, packing
+// the queue into a single RbxBatch payload — one frame per peer per flush,
+// which is where the measured frames-per-op comes from (docs/SERVICE.md
+// "Batching"). Every message the replica emits goes to every process, so
+// there is one broadcast lane.
 //
 // Sans-io: the owner passes the Context; the batcher never holds it.
-// Disabled, it degenerates to immediate single-message sends — the
-// unbatched comparison mode the load generator reports alongside.
 #pragma once
 
 #include <cstdint>
@@ -29,32 +28,18 @@ class RbxBatcher {
     std::uint64_t unbatched_msgs = 0; ///< messages sent as plain RbxMsg
   };
 
-  explicit RbxBatcher(std::uint32_t n, bool enabled = true,
-                      std::size_t max_batch = ext::RbxBatch::kMaxMessages);
-
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
-  /// Queues `m` for every process (including self). Disabled: broadcasts
-  /// immediately.
+  /// Queues `m` for every process (including self). A lane that reaches
+  /// RbxBatch::kMaxMessages goes out at once.
   void queue_broadcast(Context& ctx, const ext::RbxMsg& m);
 
-  /// Queues `m` for one peer. Disabled: sends immediately.
-  void queue_send(Context& ctx, ProcessId to, const ext::RbxMsg& m);
-
-  /// Emits every non-empty lane as one payload (an RbxBatch, or a plain
-  /// RbxMsg when a lane holds a single message) and clears the lanes.
+  /// Emits the lane, if non-empty, as one payload (an RbxBatch, or a plain
+  /// RbxMsg when it holds a single message) and clears it.
   void flush(Context& ctx);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  void emit_lane(Context& ctx, std::vector<ext::RbxMsg>& lane, bool broadcast,
-                 ProcessId to);
-
-  bool enabled_;
-  std::size_t max_batch_;
-  std::vector<ext::RbxMsg> broadcast_lane_;
-  std::vector<std::vector<ext::RbxMsg>> peer_lanes_;  ///< indexed by peer id
+  std::vector<ext::RbxMsg> lane_;
   Stats stats_;
 };
 

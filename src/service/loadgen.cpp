@@ -31,7 +31,7 @@ SimLoadgenResult run_sim_loadgen(const SimLoadgenConfig& cfg) {
     out.batches += g.batches;
     out.batched_msgs += g.batched_msgs;
     out.unbatched_msgs += g.unbatched_msgs;
-    if (g.status != sim::RunStatus::all_decided || !g.correct_streams_equal) {
+    if (g.status != sim::RunStatus::all_decided || !g.matches_reference) {
       out.all_ok = false;
     }
     latencies.insert(latencies.end(), g.latencies_ms.begin(),

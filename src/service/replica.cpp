@@ -9,7 +9,6 @@ namespace rcp::service {
 KvReplica::KvReplica(ReplicaConfig cfg, std::shared_ptr<OpSource> source)
     : cfg_(cfg),
       source_(std::move(source)),
-      batcher_(cfg.params.n, cfg.batching),
       kv_(cfg.params.n * cfg.shards, cfg.keep_log),
       next_seq_(cfg.shards, 0),
       inflight_(cfg.shards, 0),
@@ -20,21 +19,20 @@ KvReplica::KvReplica(ReplicaConfig cfg, std::shared_ptr<OpSource> source)
   RCP_EXPECT(cfg_.shards >= 1 && cfg_.shards < (1u << kShardBits),
              "KvReplica: shard count out of tag range");
   RCP_EXPECT(source_ != nullptr, "KvReplica: null op source");
-  const std::uint32_t hint = cfg_.engine_capacity != 0
-                                 ? cfg_.engine_capacity
-                                 : cfg_.params.n * cfg_.window;
-  // Anchor-aware phantom-flood backstop, sized far above the origination
-  // window: legitimate traffic must never hit it, because a dropped vote
-  // is never retransmitted and Bracha's ready threshold has zero slack
-  // under the full fault budget. "Far above" must account for *receiver
-  // lag*, not just the window — the origin's window advances on a 2k+1
-  // quorum, so the k slowest correct replicas can trail the frontier by an
-  // unbounded backlog of live (unretired) instances; a cap near the window
-  // wedges fault-free runs under load. The default is therefore an OOM
-  // backstop (~tens of MB per origin at worst), not flow control.
-  const std::uint32_t origin_cap =
-      cfg_.origin_cap != 0 ? cfg_.origin_cap
-                           : std::max(65536u, cfg_.window * 1024u);
+  const std::uint32_t hint = cfg_.params.n * cfg_.window;
+  // Per-origin live-instance cap: a DoS backstop against Byzantine phantom
+  // (origin, seq) spray, enforced anchor-aware inside the engine so real
+  // protocol traffic is never shed (see rb_engine.hpp). It sits far above
+  // the origination window: legitimate traffic must never hit it, because
+  // a dropped vote is never retransmitted and Bracha's ready threshold has
+  // zero slack under the full fault budget. "Far above" must account for
+  // *receiver lag*, not just the window — the origin's window advances on
+  // a 2k+1 quorum, so the k slowest correct replicas can trail the
+  // frontier by an unbounded backlog of live (unretired) instances; a cap
+  // near the window wedges fault-free runs under load. The cap is
+  // therefore an OOM backstop (~tens of MB per origin at worst), not flow
+  // control.
+  const std::uint32_t origin_cap = std::max(65536u, cfg_.window * 1024u);
   RCP_EXPECT(origin_cap > cfg_.window,
              "KvReplica: per-origin instance cap must exceed the window");
   // Every stream's whole window: what one step applies when a message

@@ -92,19 +92,10 @@ class VectorOpSource : public OpSource {
 struct ReplicaConfig {
   core::ConsensusParams params;
   std::uint32_t shards = 1;
-  bool batching = true;
-  /// Max own ops in flight (originated, not yet applied) per shard.
+  /// Max own ops in flight (originated, not yet applied) per shard. Each
+  /// shard engine's pool hint is n * window, and its per-origin instance
+  /// cap max(65536, window * 1024) (see KvReplica's constructor).
   std::uint32_t window = 64;
-  /// RbEngine pool hint per shard; 0 derives n * window.
-  std::uint32_t engine_capacity = 0;
-  /// Per-origin live-instance cap handed to each shard engine (0 derives
-  /// max(65536, window * 1024)). A DoS backstop against Byzantine phantom
-  /// (origin, seq) spray, enforced anchor-aware inside the engine so real
-  /// protocol traffic is never shed — see rb_engine.hpp. Must vastly
-  /// exceed the origination window: a lagging replica legitimately holds
-  /// one live instance per unapplied seq between its apply cursor and the
-  /// origin's frontier, and that backlog is quorum-paced, not window-paced.
-  std::uint32_t origin_cap = 0;
   /// Retain per-stream op logs in the KvStore (test prefix checks).
   bool keep_log = false;
   /// Expected op count per origin (index = origin id; missing/0 = none

@@ -46,10 +46,8 @@ class StampingOpSource final : public OpSource {
 };
 }  // namespace
 
-std::uint64_t correct_stream_digest(const KvReplica& replica,
-                                    std::uint32_t correct,
+std::uint64_t correct_stream_digest(const KvStore& kv, std::uint32_t correct,
                                     std::uint32_t shards) {
-  const KvStore& kv = replica.store();
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (std::uint32_t origin = 0; origin < correct; ++origin) {
     for (std::uint32_t shard = 0; shard < shards; ++shard) {
@@ -76,7 +74,6 @@ SimServiceResult run_sim_service(const SimServiceConfig& cfg) {
     ReplicaConfig rc;
     rc.params = cfg.params;
     rc.shards = cfg.shards;
-    rc.batching = cfg.batching;
     rc.window = cfg.window;
     rc.keep_log = cfg.keep_log;
     rc.expected_per_origin = workload.expected_per_origin;
@@ -162,7 +159,7 @@ SimServiceResult run_sim_service(const SimServiceConfig& cfg) {
     result.correct_ids.push_back(p);
     result.digests.push_back(r.digest());
     result.correct_digests.push_back(
-        correct_stream_digest(r, workload.correct, cfg.shards));
+        correct_stream_digest(r.store(), workload.correct, cfg.shards));
     result.ops_applied_min =
         std::min(result.ops_applied_min, r.counters().ops_applied);
     result.batches += r.batcher_stats().batches;
@@ -204,12 +201,11 @@ SimServiceResult run_sim_service(const SimServiceConfig& cfg) {
                  live);
   }
 #endif
-  result.correct_streams_equal = true;
-  for (const std::uint64_t d : result.correct_digests) {
-    if (d != result.correct_digests.front()) {
-      result.correct_streams_equal = false;
-    }
-  }
+  result.reference_digest = correct_stream_digest(
+      reference_store(workload), workload.correct, cfg.shards);
+  result.matches_reference = std::all_of(
+      result.correct_digests.begin(), result.correct_digests.end(),
+      [&](std::uint64_t d) { return d == result.reference_digest; });
   return result;
 }
 

@@ -27,7 +27,6 @@ struct SimServiceConfig {
   std::uint32_t shards = 1;
   std::uint64_t total_ops = 1000;
   std::uint32_t window = 32;
-  bool batching = true;
   std::uint64_t seed = 1;
   /// 0 derives a bound from the workload size.
   std::uint64_t max_steps = 0;
@@ -51,7 +50,10 @@ struct SimServiceResult {
   std::vector<ProcessId> correct_ids;
   std::vector<std::uint64_t> digests;          ///< full KvStore digest
   std::vector<std::uint64_t> correct_digests;  ///< fold over correct streams
-  bool correct_streams_equal = false;
+  /// correct_stream_digest of the workload's reference_store().
+  std::uint64_t reference_digest = 0;
+  /// Every entry of correct_digests equals reference_digest.
+  bool matches_reference = false;
   /// Batching totals over correct replicas.
   std::uint64_t batches = 0;
   std::uint64_t batched_msgs = 0;
@@ -66,7 +68,8 @@ struct SimServiceResult {
 /// Digest over the streams owned by correct origins only — immune to the
 /// partially-applied tail of a Byzantine stream at the stop instant (Bracha
 /// totality is eventual; the run stops when the *expected* ops are in).
-[[nodiscard]] std::uint64_t correct_stream_digest(const KvReplica& replica,
+/// Origins 0..correct-1 are the correct ones.
+[[nodiscard]] std::uint64_t correct_stream_digest(const KvStore& kv,
                                                   std::uint32_t correct,
                                                   std::uint32_t shards);
 

@@ -42,4 +42,17 @@ Workload build_workload(core::ConsensusParams params, std::uint32_t byzantine,
   return w;
 }
 
+KvStore reference_store(const Workload& workload) {
+  KvStore store(workload.n * workload.shards);
+  for (std::uint32_t origin = 0; origin < workload.correct; ++origin) {
+    for (std::uint32_t shard = 0; shard < workload.shards; ++shard) {
+      const std::vector<KvOp>& script = workload.scripts[origin][shard];
+      for (std::uint64_t seq = 0; seq < script.size(); ++seq) {
+        store.apply(origin * workload.shards + shard, seq, script[seq]);
+      }
+    }
+  }
+  return store;
+}
+
 }  // namespace rcp::service

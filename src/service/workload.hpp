@@ -37,4 +37,9 @@ struct Workload {
                                       std::uint64_t total_ops,
                                       std::uint64_t seed);
 
+/// The store every correct replica must reach: each correct origin's
+/// scripts applied in order to one KvStore. The KV drivers and tests
+/// compare each replica's correct streams against it.
+[[nodiscard]] KvStore reference_store(const Workload& workload);
+
 }  // namespace rcp::service

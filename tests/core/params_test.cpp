@@ -88,6 +88,63 @@ TEST(Params, AcceptedCountDecides) {
   EXPECT_TRUE(p.accepted_count_decides(5));
 }
 
+// The counting facts the paper's thresholds rest on, in ConsensusParams'
+// own terms. Quorums are sets of distinct processes; at most k are faulty.
+
+/// Two sets of ⌊(n+k)/2⌋+1 processes out of n share at least 2q − n of
+/// them, and that is at least k+1: one correct process is in both.
+constexpr bool acceptance_quorums_share_k_plus_one(ConsensusParams p) {
+  const std::uint64_t q = p.echo_acceptance_threshold();
+  return 2 * q >= std::uint64_t{p.n} + p.k + 1;
+}
+
+/// Of t senders at most k are faulty, so t − k are correct: k+1 readies
+/// include a correct sender, and 2k+1 include k+1 correct ones.
+constexpr bool ready_thresholds_outnumber_the_faulty(ConsensusParams p) {
+  return p.ready_amplification_threshold() >= p.k + 1 &&
+         p.ready_delivery_threshold() >= 2 * p.k + 1;
+}
+
+/// Every threshold a correct process waits for is reachable by the n − k
+/// correct processes alone: the k faulty ones may stay silent forever.
+constexpr bool correct_processes_reach_every_threshold(ConsensusParams p) {
+  return p.echo_acceptance_threshold() <= p.wait_quorum() &&
+         p.ready_amplification_threshold() <= p.wait_quorum() &&
+         p.ready_delivery_threshold() <= p.wait_quorum();
+}
+
+/// The three facts for every n in [first, last] and every k within the
+/// bound ⌊(n−1)/3⌋.
+constexpr bool threshold_facts_hold(std::uint32_t first, std::uint32_t last) {
+  for (std::uint32_t n = first; n <= last; ++n) {
+    for (std::uint32_t k = 0; k <= (n - 1) / 3; ++k) {
+      const ConsensusParams p{n, k};
+      if (!acceptance_quorums_share_k_plus_one(p) ||
+          !ready_thresholds_outnumber_the_faulty(p) ||
+          !correct_processes_reach_every_threshold(p)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+// Split so that each constant evaluation stays within the compiler's
+// default operation budget.
+static_assert(threshold_facts_hold(1, 500));
+static_assert(threshold_facts_hold(501, 750));
+static_assert(threshold_facts_hold(751, 900));
+static_assert(threshold_facts_hold(901, 1001));
+
+TEST(Params, CorrectProcessesCannotReachThresholdsPastTheBound) {
+  // One past ⌊(n−1)/3⌋ the faulty processes can withhold a quorum: the
+  // side of the bound where E7 exhibits Theorem 3.
+  for (std::uint32_t n = 4; n <= 1001; ++n) {
+    const ConsensusParams p{n, (n - 1) / 3 + 1};
+    EXPECT_FALSE(correct_processes_reach_every_threshold(p))
+        << "n=" << n << " k=" << p.k;
+  }
+}
+
 TEST(Params, FaultModelNames) {
   EXPECT_STREQ(to_string(FaultModel::fail_stop), "fail-stop");
   EXPECT_STREQ(to_string(FaultModel::malicious), "malicious");

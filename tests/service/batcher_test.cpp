@@ -37,7 +37,7 @@ std::vector<RbxMsg> decode_payload(const Bytes& payload) {
 
 TEST(RbxBatcher, CoalescesOneFramePerPeerPerFlush) {
   test::FakeContext ctx(0, kN);
-  RbxBatcher b(kN);
+  RbxBatcher b;
   for (std::uint64_t tag = 0; tag < 5; ++tag) {
     b.queue_broadcast(ctx, echo(1, tag, tag));
   }
@@ -62,92 +62,87 @@ TEST(RbxBatcher, CoalescesOneFramePerPeerPerFlush) {
 
 TEST(RbxBatcher, SingleMessageLaneGoesOutUnframed) {
   test::FakeContext ctx(0, kN);
-  RbxBatcher b(kN);
-  b.queue_send(ctx, 2, echo(1, 9, 1));
+  RbxBatcher b;
+  b.queue_broadcast(ctx, echo(1, 9, 1));
   b.flush(ctx);
-  ASSERT_EQ(ctx.sent.size(), 1u);
-  EXPECT_EQ(ctx.sent[0].to, 2u);
-  EXPECT_FALSE(RbxBatch::is_batch(ctx.sent[0].payload))
-      << "a lane of one skips the batch header";
+  ASSERT_EQ(ctx.sent.size(), kN);
+  for (const auto& s : ctx.sent) {
+    EXPECT_FALSE(RbxBatch::is_batch(s.payload))
+        << "a lane of one skips the batch header";
+  }
   EXPECT_EQ(b.stats().batches, 0u);
   EXPECT_EQ(b.stats().unbatched_msgs, 1u);
 }
 
-TEST(RbxBatcher, MixesBroadcastAndDirectedLanes) {
+TEST(RbxBatcher, EachFlushStartsAFreshFrame) {
   test::FakeContext ctx(0, kN);
-  RbxBatcher b(kN);
+  RbxBatcher b;
   b.queue_broadcast(ctx, echo(0, 1, 0));
   b.queue_broadcast(ctx, echo(0, 2, 0));
-  b.queue_send(ctx, 3, echo(1, 7, 1));
   b.flush(ctx);
-  // Peer 3 gets the two broadcast messages plus its directed one.
-  EXPECT_EQ(ctx.sent_to(3), 2u);  // one broadcast frame + one directed frame
-  std::size_t to_3 = 0;
+  b.queue_broadcast(ctx, echo(1, 7, 1));
+  b.flush(ctx);
+  b.flush(ctx);  // the lane is empty again: nothing more leaves
+  // Every peer gets the pair in one frame, then the third message alone.
+  for (ProcessId p = 0; p < kN; ++p) {
+    EXPECT_EQ(ctx.sent_to(p), 2u);
+  }
+  std::vector<std::size_t> sizes;
   for (const auto& s : ctx.sent) {
     if (s.to == 3) {
-      to_3 += decode_payload(s.payload).size();
+      sizes.push_back(decode_payload(s.payload).size());
     }
   }
-  EXPECT_EQ(to_3, 3u);
-  // Other peers get exactly the broadcast pair in one frame.
-  EXPECT_EQ(ctx.sent_to(1), 1u);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 1}));
+  EXPECT_EQ(b.stats().batches, 1u);
+  EXPECT_EQ(b.stats().unbatched_msgs, 1u);
 }
 
 TEST(RbxBatcher, FlushOnEmptyLanesSendsNothing) {
   test::FakeContext ctx(0, kN);
-  RbxBatcher b(kN);
+  RbxBatcher b;
   b.flush(ctx);
   EXPECT_TRUE(ctx.sent.empty());
 }
 
-TEST(RbxBatcher, DisabledSendsImmediately) {
-  test::FakeContext ctx(0, kN);
-  RbxBatcher b(kN, /*enabled=*/false);
-  b.queue_broadcast(ctx, echo(1, 0, 1));
-  EXPECT_EQ(ctx.sent.size(), kN) << "disabled batcher must not defer";
-  b.queue_send(ctx, 1, echo(1, 1, 1));
-  EXPECT_EQ(ctx.sent.size(), kN + 1);
-  for (const auto& s : ctx.sent) {
-    EXPECT_FALSE(RbxBatch::is_batch(s.payload));
-  }
-  b.flush(ctx);  // no-op
-  EXPECT_EQ(ctx.sent.size(), kN + 1);
-  // One broadcast + one send, each counted once regardless of fan-out.
-  EXPECT_EQ(b.stats().unbatched_msgs, 2u);
-  EXPECT_EQ(b.stats().batches, 0u);
-}
-
 TEST(RbxBatcher, AutoFlushesFullLaneAtMaxBatch) {
   test::FakeContext ctx(0, kN);
-  RbxBatcher b(kN, true, /*max_batch=*/3);
-  for (std::uint64_t tag = 0; tag < 7; ++tag) {
-    b.queue_send(ctx, 1, echo(0, tag, 0));
+  RbxBatcher b;
+  constexpr std::size_t kMax = RbxBatch::kMaxMessages;
+  for (std::uint64_t tag = 0; tag < 2 * kMax + 1; ++tag) {
+    b.queue_broadcast(ctx, echo(0, tag, 0));
   }
-  // Two full lanes of 3 went out on their own; one message remains queued.
-  EXPECT_EQ(ctx.sent.size(), 2u);
+  // Two full lanes went out on their own, one frame per process each; one
+  // message remains queued.
+  ASSERT_EQ(ctx.sent.size(), 2 * kN);
+  for (const auto& s : ctx.sent) {
+    EXPECT_EQ(decode_payload(s.payload).size(), kMax);
+  }
   b.flush(ctx);
-  ASSERT_EQ(ctx.sent.size(), 3u);
+  ASSERT_EQ(ctx.sent.size(), 3 * kN);
   std::size_t total = 0;
   for (const auto& s : ctx.sent) {
-    total += decode_payload(s.payload).size();
+    if (s.to == 1) {
+      total += decode_payload(s.payload).size();
+    }
   }
-  EXPECT_EQ(total, 7u);
+  EXPECT_EQ(total, 2 * kMax + 1);
 }
 
 TEST(RbxBatcher, PayloadsRoundTripThroughWireDecode) {
   // End-to-end shape check: what the batcher emits is exactly what a
   // receiving replica's decode path accepts.
   test::FakeContext ctx(0, kN);
-  RbxBatcher b(kN);
+  RbxBatcher b;
   const RbxMsg m1 = echo(2, (std::uint64_t{5} << 48) | 1, 0x1234567890ULL);
   const RbxMsg m2 = RbxMsg{.kind = RbxMsg::Kind::ready,
                            .origin = 3,
                            .tag = 42,
                            .value = ext::kRbValueBottom};
-  b.queue_send(ctx, 1, m1);
-  b.queue_send(ctx, 1, m2);
+  b.queue_broadcast(ctx, m1);
+  b.queue_broadcast(ctx, m2);
   b.flush(ctx);
-  ASSERT_EQ(ctx.sent.size(), 1u);
+  ASSERT_EQ(ctx.sent.size(), kN);
   const auto msgs = decode_payload(ctx.sent[0].payload);
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].tag, m1.tag);

@@ -20,8 +20,8 @@ Three input formats are understood:
   entries are matched by series ``label`` (``echo_path_n*``) and compared
   on ``trials_per_sec`` (echoes/sec), against ``echo_path``.
 * ``--svc`` (repeatable): rcp-svc-v1 ``--json`` output from kv_loadgen;
-  runs are matched by ``label`` (``sim_n7_batched``, ``net_n7_batched``
-  etc.) and compared on ``ops_per_sec``. The document's ``mode`` field
+  runs are matched by ``label`` (``sim_n7``, ``net_n7``,
+  ``net_n7_shared4`` etc.) and compared on ``ops_per_sec``. The document's ``mode`` field
   selects the baseline subsection — ``service.ops_per_sec`` for sim,
   ``service.net_ops_per_sec`` for net — so the simulated and the TCP-mesh
   loadgen runs gate independently. A run that did not converge
