@@ -16,7 +16,6 @@
 #include "analysis/matrix.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/bitops.hpp"
 #include "core/echo_engine.hpp"
 #include "core/failstop.hpp"
 #include "core/malicious.hpp"
@@ -174,78 +173,6 @@ void BM_StepDispatch(benchmark::State& state) {
                           kSteps);
 }
 BENCHMARK(BM_StepDispatch)->Arg(7)->Arg(31)->Arg(101);
-
-// ---------------------------------------------------------------------------
-// Bit-span kernels (core/bitops.hpp): the word-parallel substrate under the
-// quorum primitives. Each bench runs the *dispatched* entry point, so the
-// numbers reflect whatever backend (scalar or AVX2) the host resolved at
-// startup; items/sec counts 64-bit words, and the regression gate covers
-// these series via the BM_Bitops prefix (tools/check_bench_regression.py).
-// Arg is the span length in words: 16 (one BitRows row at n=1001), 1024
-// and 65536 (bulk window scans).
-
-core::bitops::AlignedVector<std::uint64_t> random_words(std::size_t count) {
-  Rng rng(0x5eed);
-  core::bitops::AlignedVector<std::uint64_t> words(count, 0);
-  for (auto& w : words) {
-    w = rng.next();
-  }
-  return words;
-}
-
-void BM_BitopsPopcountWords(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  const auto words = random_words(count);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::bitops::popcount_words(
-        std::span<const std::uint64_t>(words.data(), words.size())));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_BitopsPopcountWords)->Arg(16)->Arg(1024)->Arg(65536);
-
-void BM_BitopsFillWords(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  core::bitops::AlignedVector<std::uint64_t> words(count, 0);
-  for (auto _ : state) {
-    core::bitops::fill_words(std::span<std::uint64_t>(words.data(), count), 0);
-    benchmark::DoNotOptimize(words.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_BitopsFillWords)->Arg(16)->Arg(1024)->Arg(65536);
-
-void BM_BitopsOrWords(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  const auto src = random_words(count);
-  core::bitops::AlignedVector<std::uint64_t> dst(count, 0);
-  for (auto _ : state) {
-    core::bitops::or_words(
-        std::span<std::uint64_t>(dst.data(), count),
-        std::span<const std::uint64_t>(src.data(), count));
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_BitopsOrWords)->Arg(16)->Arg(1024)->Arg(65536);
-
-void BM_BitopsForEachSetBit(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  const auto words = random_words(count);  // ~50% density
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    core::bitops::for_each_set_bit(
-        std::span<const std::uint64_t>(words.data(), count),
-        [&sum](std::size_t bit) { sum += bit; });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_BitopsForEachSetBit)->Arg(16)->Arg(1024);
 
 void BM_EchoEngineAcceptPath(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

@@ -2,7 +2,7 @@
 // fast path is inline in echo_engine.hpp. Everything here is off the
 // per-echo critical path: construction, initial-message ledgers, the
 // overflow ledger for beyond-window phases, and advance()'s bulk
-// reclamation (which runs on the word-parallel kernels).
+// reclamation.
 
 #include "core/echo_engine.hpp"
 
@@ -16,7 +16,7 @@ EchoEngine::EchoEngine(ConsensusParams params)
     : params_(params),
       echo_window_(static_cast<std::size_t>(kPhaseWindow) * params.n,
                    params.n),
-      tally_stride_(bitops::padded_to_cache_line<std::uint32_t>(params.n)) {
+      tally_stride_(padded_to_cache_line<std::uint32_t>(params.n)) {
   // rcp-lint: allow(hot-alloc) one-time table setup at construction
   initial_next_.assign(params.n, 0);
   // rcp-lint: allow(hot-alloc) one-time table setup at construction
@@ -111,7 +111,7 @@ std::span<const EchoEngine::Accept> EchoEngine::advance(Phase new_phase) {
 
   // Reclaim dedup rows for phases that are now in the past: their echoes
   // would be dropped as stale before the dedup check anyway. Each phase's
-  // rows are contiguous (slot-major layout), one word-parallel fill per
+  // rows are contiguous (slot-major layout), one flat fill per
   // phase; the slot's live-bit counter resets with it.
   const Phase last_reclaimed =
       std::min(new_phase, window_base_ + kPhaseWindow);

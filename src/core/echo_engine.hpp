@@ -30,8 +30,7 @@
 // initial phases) spill to small exact side ledgers behind cold out-of-line
 // calls, so the observable semantics match the node-based containers they
 // replaced bit for bit (pinned by the trace-digest goldens). Bulk work —
-// phase-window reclamation, tally resets — runs on the word-parallel
-// kernels of core/bitops.hpp.
+// phase-window reclamation, tally resets — is one flat library fill.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +40,6 @@
 
 #include "common/error.hpp"
 #include "common/types.hpp"
-#include "core/bitops.hpp"
 #include "core/messages.hpp"
 #include "core/params.hpp"
 #include "core/quorum.hpp"
@@ -258,7 +256,7 @@ class EchoEngine {
   /// origin's tally for value v. Replaces the interleaved ValueCounts
   /// array: threshold scans touch one value's counters as one contiguous
   /// stream, and a phase reset is a single flat fill.
-  bitops::AlignedVector<std::uint32_t> tally_lanes_;
+  AlignedVector<std::uint32_t> tally_lanes_;
   std::size_t tally_stride_ = 0;
 
   /// Recycling ring of future-phase echoes, compacted in place by

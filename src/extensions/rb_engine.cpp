@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -114,13 +115,13 @@ RbEngine::RbEngine(core::ConsensusParams params, std::uint32_t capacity_hint,
   bucket_mask_ = 2ULL * cap - 1;
   echo_voted_ = core::BitRows(cap, params_.n);
   ready_voted_ = core::BitRows(cap, params_.n);
-  echo_lane_value_ = core::bitops::AlignedVector<RbValue>(
+  echo_lane_value_ = core::AlignedVector<RbValue>(
       static_cast<std::size_t>(cap) * lanes_, 0);
-  ready_lane_value_ = core::bitops::AlignedVector<RbValue>(
+  ready_lane_value_ = core::AlignedVector<RbValue>(
       static_cast<std::size_t>(cap) * lanes_, 0);
-  echo_count_ = core::bitops::AlignedVector<std::uint16_t>(
+  echo_count_ = core::AlignedVector<std::uint16_t>(
       static_cast<std::size_t>(cap) * lanes_, 0);
-  ready_count_ = core::bitops::AlignedVector<std::uint16_t>(
+  ready_count_ = core::AlignedVector<std::uint16_t>(
       static_cast<std::size_t>(cap) * lanes_, 0);
   retired_below_ = std::vector<std::uint64_t>(params_.n, 0);
   live_per_origin_ = std::vector<std::uint32_t>(params_.n, 0);
@@ -220,8 +221,8 @@ std::uint32_t RbEngine::obtain(ProcessId origin, std::uint64_t tag,
     ++unanchored_per_origin_[origin];
   }
   const std::size_t row0 = static_cast<std::size_t>(slot) * lanes_;
-  echo_voted_.clear_row(slot);
-  ready_voted_.clear_row(slot);
+  echo_voted_.clear_rows(slot, 1);
+  ready_voted_.clear_rows(slot, 1);
   std::fill_n(echo_count_.begin() + static_cast<std::ptrdiff_t>(row0), lanes_,
               std::uint16_t{0});
   std::fill_n(ready_count_.begin() + static_cast<std::ptrdiff_t>(row0), lanes_,
@@ -236,7 +237,7 @@ std::uint32_t RbEngine::obtain(ProcessId origin, std::uint64_t tag,
 
 std::uint32_t RbEngine::lane_of(
     std::uint32_t slot, RbValue value,
-    core::bitops::AlignedVector<RbValue>& lane_values,
+    core::AlignedVector<RbValue>& lane_values,
     std::uint16_t& lanes_used) {
   const std::size_t row0 = static_cast<std::size_t>(slot) * lanes_;
   for (std::uint32_t l = 0; l < lanes_used; ++l) {
@@ -289,27 +290,16 @@ void RbEngine::grow() {
   core::BitRows new_ready_voted(new_cap, params_.n);
   new_ready_voted.copy_rows_from(ready_voted_, old_cap);
   ready_voted_ = std::move(new_ready_voted);
-  const auto grow_values =
-      [new_cap, this](core::bitops::AlignedVector<RbValue>& v) {
-        core::bitops::AlignedVector<RbValue> bigger(
-            static_cast<std::size_t>(new_cap) * lanes_, 0);
-        // RbValue is a 64-bit word, so the lane copy is a kernel copy.
-        core::bitops::copy_words(
-            std::span<std::uint64_t>(bigger.data(), v.size()),
-            std::span<const std::uint64_t>(v.data(), v.size()));
-        v = std::move(bigger);
-      };
-  grow_values(echo_lane_value_);
-  grow_values(ready_lane_value_);
-  const auto grow_counts =
-      [new_cap, this](core::bitops::AlignedVector<std::uint16_t>& v) {
-        core::bitops::AlignedVector<std::uint16_t> bigger(
-            static_cast<std::size_t>(new_cap) * lanes_, 0);
-        std::copy(v.begin(), v.end(), bigger.begin());
-        v = std::move(bigger);
-      };
-  grow_counts(echo_count_);
-  grow_counts(ready_count_);
+  const auto grow_lane = [new_cap, this](auto& lane) {
+    std::remove_reference_t<decltype(lane)> bigger(
+        static_cast<std::size_t>(new_cap) * lanes_, 0);
+    std::copy(lane.begin(), lane.end(), bigger.begin());
+    lane = std::move(bigger);
+  };
+  grow_lane(echo_lane_value_);
+  grow_lane(ready_lane_value_);
+  grow_lane(echo_count_);
+  grow_lane(ready_count_);
   // Rebuild the bucket chains and the free list over the doubled pool.
   bucket_heads_ = std::vector<std::uint32_t>(2ULL * new_cap, kNil);
   bucket_mask_ = 2ULL * new_cap - 1;

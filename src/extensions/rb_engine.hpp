@@ -62,7 +62,6 @@
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
-#include "core/bitops.hpp"
 #include "core/params.hpp"
 #include "core/quorum.hpp"
 
@@ -325,7 +324,7 @@ class RbEngine {
   /// when all lanes hold other values (overflow).
   [[nodiscard]] std::uint32_t lane_of(
       std::uint32_t slot, RbValue value,
-      core::bitops::AlignedVector<RbValue>& lane_values,
+      core::AlignedVector<RbValue>& lane_values,
       std::uint16_t& lanes_used);
   /// Unlinks `slot` from its bucket and pushes it on the free list.
   void release(std::uint32_t slot) noexcept;
@@ -354,12 +353,12 @@ class RbEngine {
   core::BitRows ready_voted_;
   /// First-come value lanes and tallies, row = slot * lanes_ + lane, in
   /// struct-of-arrays form: each array is one flat cache-line-aligned lane
-  /// (core/bitops.hpp allocator), so the echo path streams values and
+  /// (core/quorum.hpp allocator), so the echo path streams values and
   /// counts as separate contiguous arrays instead of interleaved records.
-  core::bitops::AlignedVector<RbValue> echo_lane_value_;
-  core::bitops::AlignedVector<RbValue> ready_lane_value_;
-  core::bitops::AlignedVector<std::uint16_t> echo_count_;
-  core::bitops::AlignedVector<std::uint16_t> ready_count_;
+  core::AlignedVector<RbValue> echo_lane_value_;
+  core::AlignedVector<RbValue> ready_lane_value_;
+  core::AlignedVector<std::uint16_t> echo_count_;
+  core::AlignedVector<std::uint16_t> ready_count_;
   /// retired_below_[origin] = smallest tag of `origin` still accepted.
   std::vector<std::uint64_t> retired_below_;
   /// Live instances per origin, against max_live_per_origin_.

@@ -74,30 +74,25 @@ Cluster::Cluster(ClusterConfig cfg, const ProcessFactory& factory)
 }
 
 ClusterResult Cluster::run() {
+  // loop_threads 0 means one loop per node (thread-per-node); otherwise
+  // nodes are dealt round-robin over min(loop_threads, n) shared loops.
   const std::uint32_t loop_count =
-      cfg_.loop_threads == 0 ? 0 : std::min(cfg_.loop_threads, cfg_.n);
+      cfg_.loop_threads == 0 ? cfg_.n : std::min(cfg_.loop_threads, cfg_.n);
 
   std::vector<std::unique_ptr<EventLoop>> loops;
   loops.reserve(loop_count);
   for (std::uint32_t t = 0; t < loop_count; ++t) {
     loops.push_back(std::make_unique<EventLoop>());
   }
-  for (ProcessId id = 0; id < cfg_.n && loop_count > 0; ++id) {
+  for (ProcessId id = 0; id < cfg_.n; ++id) {
     loops[id % loop_count]->add(*nodes_[id]);
   }
 
   const auto started = steady_clock::now();
   std::vector<std::thread> threads;
-  if (loop_count > 0) {
-    threads.reserve(loop_count);
-    for (std::uint32_t t = 0; t < loop_count; ++t) {
-      threads.emplace_back([loop = loops[t].get()] { loop->run(); });
-    }
-  } else {
-    threads.reserve(cfg_.n);
-    for (ProcessId id = 0; id < cfg_.n; ++id) {
-      threads.emplace_back([this, id] { nodes_[id]->run(); });
-    }
+  threads.reserve(loop_count);
+  for (std::uint32_t t = 0; t < loop_count; ++t) {
+    threads.emplace_back([loop = loops[t].get()] { loop->run(); });
   }
 
   const auto deadline = started + milliseconds(cfg_.timeout_ms);

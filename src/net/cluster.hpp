@@ -6,12 +6,13 @@
 // report per-node outcomes plus the paper's two checkable properties —
 // all correct processes decide, and they decide the same value.
 //
-// Threading: loop_threads = 0 (default) runs one thread per node, each on
-// its own private event loop — the faithful "n independent machines"
-// configuration. loop_threads = T > 0 multiplexes all n nodes onto
-// min(T, n) shared EventLoop threads (round-robin assignment), which is
-// how n=100 full-mesh (~10k sockets) runs on single-digit threads.
-// Protocol semantics are identical; only the scheduler changes.
+// Threading: every node runs on an EventLoop thread; only the number of
+// loops changes. loop_threads = 0 (default) builds one loop per node —
+// the faithful "n independent machines" configuration. loop_threads =
+// T > 0 multiplexes all n nodes onto min(T, n) shared loops (round-robin
+// assignment), which is how n=100 full-mesh (~10k sockets) runs on
+// single-digit threads. Protocol semantics are identical; only the
+// scheduler changes.
 //
 // Ports: every node binds an ephemeral loopback port (bind 0, read the
 // real port back) and the cluster distributes the port table before any

@@ -154,12 +154,6 @@ std::optional<Value> Node::decision() const noexcept {
   return d == 0 ? Value::zero : Value::one;
 }
 
-void Node::run() {
-  EventLoop loop;
-  loop.add(*this);
-  loop.run();
-}
-
 // ---- EventLoop interface ----------------------------------------------
 
 void Node::watch_fd(int fd, std::uint32_t sub) {

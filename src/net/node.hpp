@@ -29,9 +29,9 @@
 // future-phase message to itself waits for network progress instead of
 // spinning.
 //
-// Threading: a Node is driven by exactly one net::EventLoop thread —
-// either its own (run() wraps a private single-node loop) or a shared one
-// (net::EventLoop::add + run, the n=100 configuration). All loop_*
+// Threading: a Node is driven by exactly one net::EventLoop thread
+// (net::EventLoop::add + run) — a loop of its own in the thread-per-node
+// configuration, or one shared with its siblings. All loop_*
 // callbacks, and everything they reach, are loop-thread-only.
 // decision()/phase()/crashed()/finished() are safe from other threads
 // while running; stats()/error() are valid after the loop finishes the
@@ -86,8 +86,8 @@ struct NodeConfig {
   std::uint64_t seed = 1;
   FaultPlan faults;
   NodeLimits limits;
-  /// Fail-stop injection: the node dies (closes everything, exits run())
-  /// as soon as its process's phase() reaches this value.
+  /// Fail-stop injection: the node dies (closes everything, detaches from
+  /// its loop) as soon as its process's phase() reaches this value.
   std::optional<Phase> crash_at_phase;
 };
 
@@ -101,21 +101,17 @@ class Node {
   Node& operator=(const Node&) = delete;
 
   /// Binds the listener on an ephemeral loopback port now and returns it.
-  /// Idempotent; run() calls it if the caller did not.
+  /// Idempotent; the loop calls it at start if the caller did not.
   std::uint16_t listen();
 
   /// Fills in a peer's address (the cluster binds every listener first,
-  /// then distributes the ephemeral ports). Set every peer before run().
+  /// then distributes the ephemeral ports). Set every peer before the
+  /// loop runs.
   void set_peer(ProcessId p, PeerAddress addr);
 
-  /// Runs a private single-node EventLoop on the calling thread until
-  /// request_stop(), a scheduled crash, or a fatal error (recorded in
-  /// error()). For shared-loop operation use net::EventLoop directly.
-  void run();
-
-  /// Thread-safe: asks the loop to finish this node; with a private loop
-  /// run() returns soon after, with a shared loop the node detaches while
-  /// its siblings keep running.
+  /// Thread-safe: asks the loop to finish this node. The node detaches
+  /// while any siblings keep running; a loop whose nodes have all finished
+  /// returns from EventLoop::run().
   void request_stop();
 
   // ---- Thread-safe observers (valid while running) -------------------
@@ -135,7 +131,7 @@ class Node {
     return finished_.load(std::memory_order_acquire);
   }
 
-  // ---- Post-run observers (valid after run() returns) ----------------
+  // ---- Post-run observers (valid after the loop thread is joined) -----
 
   // Exempt from lock analysis: the caller joined (or observed finished()
   // on) the driving loop thread, which synchronizes; there is no lock to

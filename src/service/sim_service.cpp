@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <utility>
@@ -173,34 +172,6 @@ SimServiceResult run_sim_service(const SimServiceConfig& cfg) {
     result.admission_drops +=
         r.counters().dropped_bad_shard + r.counters().dropped_bad_origin;
   }
-#ifdef RCP_SVC_DEBUG_DROPS
-  {
-    ext::RbEngineStats t;
-    std::uint64_t bad_origin = 0, deferred = 0;
-    std::size_t live = 0;
-    for (ProcessId p = 0; p < workload.correct; ++p) {
-      const ext::RbEngineStats es = replicas[p]->engine_stats();
-      t.dropped_retired += es.dropped_retired;
-      t.dropped_sender_dup += es.dropped_sender_dup;
-      t.dropped_slot_overflow += es.dropped_slot_overflow;
-      t.dropped_origin_flood += es.dropped_origin_flood;
-      t.evicted_unanchored += es.evicted_unanchored;
-      bad_origin += replicas[p]->counters().dropped_bad_origin;
-      deferred += replicas[p]->counters().deferred_deliveries;
-      live += replicas[p]->live_instances();
-    }
-    std::fprintf(stderr,
-                 "[svc-debug] retired=%llu dup=%llu overflow=%llu flood=%llu "
-                 "evicted=%llu bad_origin=%llu deferred=%llu live=%zu\n",
-                 (unsigned long long)t.dropped_retired,
-                 (unsigned long long)t.dropped_sender_dup,
-                 (unsigned long long)t.dropped_slot_overflow,
-                 (unsigned long long)t.dropped_origin_flood,
-                 (unsigned long long)t.evicted_unanchored,
-                 (unsigned long long)bad_origin, (unsigned long long)deferred,
-                 live);
-  }
-#endif
   result.reference_digest = correct_stream_digest(
       reference_store(workload), workload.correct, cfg.shards);
   result.matches_reference = std::all_of(

@@ -1,10 +1,10 @@
 // Word-boundary edges of the quorum primitives: n one below, at, and one
-// above the 64-bit word boundaries (one-word and eight-word sets). Every
-// bulk operation in core/quorum.hpp now runs on the word-parallel kernels,
-// so these sizes are exactly where a words-per-row or tail-handling bug
-// would land. Also pins the layout guards: BitRows::copy_rows_from rejects
-// mismatched geometry outright, and ProcessSet::add rejects
-// out-of-capacity ids in debug builds.
+// above the 64-bit word boundaries (one-word and eight-word rows). Every
+// bulk operation in core/quorum.hpp works on whole row spans, so these
+// sizes are exactly where a words-per-row or tail-handling bug would land.
+// Also pins the layout guards: BitRows::copy_rows_from rejects mismatched
+// geometry outright, and the tally-lane allocator and padding keep lanes
+// on whole cache lines.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -20,72 +20,28 @@ namespace {
 /// One below, at, and above the one-word and eight-word bit boundaries.
 const std::vector<std::uint32_t> kBoundaryN = {63, 64, 65, 511, 512, 513};
 
-TEST(QuorumWordEdge, ProcessSetRoundTripAtWordBoundaries) {
-  for (const std::uint32_t n : kBoundaryN) {
-    ProcessSet s(n);
-    for (ProcessId id = 0; id < n; ++id) {
-      EXPECT_FALSE(s.contains(id)) << "n=" << n << " id=" << id;
-      EXPECT_TRUE(s.add(id)) << "n=" << n << " id=" << id;
-      EXPECT_FALSE(s.add(id)) << "n=" << n << " id=" << id;  // duplicate
-      EXPECT_TRUE(s.contains(id)) << "n=" << n << " id=" << id;
-      EXPECT_EQ(s.size(), id + 1) << "n=" << n;
-    }
-    s.clear();
-    EXPECT_EQ(s.size(), 0u) << "n=" << n;
-    for (ProcessId id = 0; id < n; ++id) {
-      EXPECT_FALSE(s.contains(id)) << "n=" << n << " id=" << id;
-    }
-    // Reusable after the kernel-backed clear.
-    EXPECT_TRUE(s.add(n - 1)) << "n=" << n;
-    EXPECT_EQ(s.size(), 1u) << "n=" << n;
+/// Set bits of row `row` in a `bits`-wide matrix, counted bit by bit.
+std::uint32_t row_count(const BitRows& rows, std::size_t row,
+                        std::uint32_t bits) {
+  std::uint32_t count = 0;
+  for (std::uint32_t bit = 0; bit < bits; ++bit) {
+    count += rows.test(row, bit) ? 1 : 0;
   }
-}
-
-TEST(QuorumWordEdge, ProcessSetMergeUnionsAndRecounts) {
-  for (const std::uint32_t n : kBoundaryN) {
-    ProcessSet even(n);
-    ProcessSet odd(n);
-    for (ProcessId id = 0; id < n; ++id) {
-      (void)(id % 2 == 0 ? even.add(id) : odd.add(id));
-    }
-    // Overlap: the last id in both, so the union is not just a sum.
-    (void)even.add(n - 1);
-    (void)odd.add(n - 1);
-    even.merge(odd);
-    EXPECT_EQ(even.size(), n) << "n=" << n;
-    for (ProcessId id = 0; id < n; ++id) {
-      EXPECT_TRUE(even.contains(id)) << "n=" << n << " id=" << id;
-    }
-  }
-}
-
-TEST(QuorumWordEdge, ProcessSetForEachEnumeratesMembersAscending) {
-  for (const std::uint32_t n : kBoundaryN) {
-    ProcessSet s(n);
-    std::vector<ProcessId> expected;
-    for (ProcessId id = 0; id < n; id += 7) {
-      (void)s.add(id);
-      expected.push_back(id);
-    }
-    std::vector<ProcessId> seen;
-    s.for_each([&seen](ProcessId id) { seen.push_back(id); });
-    EXPECT_EQ(seen, expected) << "n=" << n;
-  }
+  return count;
 }
 
 TEST(QuorumWordEdge, BitRowsRoundTripAtWordBoundaries) {
   for (const std::uint32_t n : kBoundaryN) {
     BitRows rows(3, n);
-    EXPECT_EQ(rows.words_per_row(), (n + 63) / 64) << "n=" << n;
     // Fill row 1 completely; rows 0 and 2 stay empty.
     for (std::uint32_t bit = 0; bit < n; ++bit) {
       EXPECT_TRUE(rows.test_and_set(1, bit)) << "n=" << n << " bit=" << bit;
       EXPECT_FALSE(rows.test_and_set(1, bit)) << "n=" << n << " bit=" << bit;
     }
     EXPECT_EQ(rows.popcount_all(), n) << "n=" << n;
-    EXPECT_EQ(rows.popcount_rows(0, 1), 0u) << "n=" << n;
-    EXPECT_EQ(rows.popcount_rows(1, 1), n) << "n=" << n;
-    EXPECT_EQ(rows.popcount_rows(2, 1), 0u) << "n=" << n;
+    EXPECT_EQ(row_count(rows, 0, n), 0u) << "n=" << n;
+    EXPECT_EQ(row_count(rows, 1, n), n) << "n=" << n;
+    EXPECT_EQ(row_count(rows, 2, n), 0u) << "n=" << n;
     // Neighbour isolation: the row fill must not bleed across the row
     // boundary words.
     EXPECT_FALSE(rows.test(0, n - 1)) << "n=" << n;
@@ -94,7 +50,8 @@ TEST(QuorumWordEdge, BitRowsRoundTripAtWordBoundaries) {
     (void)rows.test_and_set(0, 0);
     (void)rows.test_and_set(2, n - 1);
     rows.clear_rows(1, 1);
-    EXPECT_EQ(rows.popcount_rows(1, 1), 0u) << "n=" << n;
+    EXPECT_EQ(row_count(rows, 1, n), 0u) << "n=" << n;
+    EXPECT_EQ(rows.popcount_all(), 2u) << "n=" << n;
     EXPECT_TRUE(rows.test(0, 0)) << "n=" << n;
     EXPECT_TRUE(rows.test(2, n - 1)) << "n=" << n;
   }
@@ -112,17 +69,9 @@ TEST(QuorumWordEdge, BitRowsCopyRoundTripsAcrossGrowth) {
     EXPECT_TRUE(bigger.test(0, n - 1)) << "n=" << n;
     EXPECT_TRUE(bigger.test(1, n / 2)) << "n=" << n;
     EXPECT_EQ(bigger.popcount_all(), 3u) << "n=" << n;
-    EXPECT_EQ(bigger.popcount_rows(2, 2), 0u) << "n=" << n;
+    EXPECT_EQ(row_count(bigger, 2, n) + row_count(bigger, 3, n), 0u)
+        << "n=" << n;
   }
-}
-
-TEST(QuorumWordEdge, BitRowsRowWordsExposesSingleRow) {
-  BitRows rows(3, 65);  // two words per row
-  (void)rows.test_and_set(1, 64);
-  const auto row = rows.row_words(1);
-  ASSERT_EQ(row.size(), 2u);
-  EXPECT_EQ(row[0], 0u);
-  EXPECT_EQ(row[1], 1u);
 }
 
 TEST(QuorumWordEdge, CopyRowsFromRejectsMismatchedGeometry) {
@@ -142,15 +91,22 @@ TEST(QuorumWordEdge, CopyRowsFromRejectsMismatchedGeometry) {
   small.copy_rows_from(big, 2);
 }
 
-#ifndef NDEBUG
-TEST(QuorumWordEdge, ProcessSetAddGuardsCapacityInDebugBuilds) {
-  ProcessSet s(64);  // exactly one word
-  EXPECT_TRUE(s.add(63));
-  EXPECT_THROW((void)s.add(64), PreconditionError);
-  EXPECT_THROW((void)s.add(1000), PreconditionError);
-  EXPECT_EQ(s.size(), 1u);
+TEST(QuorumWordEdge, AlignedVectorStartsOnCacheLine) {
+  AlignedVector<std::uint32_t> lanes(1000, 0);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(lanes.data()) % kCacheLineBytes,
+            0u);
+  AlignedVector<std::uint64_t> words(100, 0);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(words.data()) % kCacheLineBytes,
+            0u);
 }
-#endif
+
+TEST(QuorumWordEdge, PaddedToCacheLineRoundsUpToWholeLines) {
+  EXPECT_EQ(padded_to_cache_line<std::uint32_t>(1), 16u);
+  EXPECT_EQ(padded_to_cache_line<std::uint32_t>(16), 16u);
+  EXPECT_EQ(padded_to_cache_line<std::uint32_t>(17), 32u);
+  EXPECT_EQ(padded_to_cache_line<std::uint32_t>(301), 304u);
+  EXPECT_EQ(padded_to_cache_line<std::uint64_t>(9), 16u);
+}
 
 }  // namespace
 }  // namespace rcp::core

@@ -95,6 +95,108 @@ TEST(Minimize, DropsTheTapeWhenTheFallbackSuffices) {
   EXPECT_GT(stats.accepted, 0u);
 }
 
+TEST(Minimize, BisectsTheTapeToTheShortestPrefixThatMatters) {
+  // Predicate: the explicit tape changes the schedule, i.e. the trace
+  // differs from the pure fallback run. Dropping the whole tape (pass 1)
+  // fails it by definition, so pass 2's prefix bisection does the work.
+  SchedulePlan p;
+  p.spec.protocol = adversary::ProtocolKind::malicious;
+  p.spec.params = {7, 2};
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    p.spec.inputs.push_back(i % 2 == 0 ? Value::zero : Value::one);
+  }
+  p.tape_seed = 77;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    p.tape.push_back(i * 2654435761U);
+  }
+  SchedulePlan fallback_only = p;
+  fallback_only.tape.clear();
+  const std::uint64_t fallback_digest = execute(fallback_only).trace_digest;
+  const auto tape_matters = [fallback_digest](const ExecResult& r) {
+    return r.trace_digest != fallback_digest;
+  };
+  ASSERT_TRUE(tape_matters(execute(p)));
+
+  MinimizeStats stats;
+  const SchedulePlan small = minimize(p, tape_matters, 64, &stats);
+  EXPECT_TRUE(tape_matters(execute(small)));
+  // 256 values bisect down to the first one: log2(256) halvings plus the
+  // rejected empty prefix, then the step clamp.
+  ASSERT_EQ(small.tape.size(), 1u);
+  EXPECT_EQ(stats.attempts, 11u);
+  EXPECT_EQ(stats.accepted, 9u);
+  EXPECT_EQ(small.serialize(),
+            "rcp-plan-v1\n"
+            "protocol fig2\n"
+            "n 7\n"
+            "k 2\n"
+            "inputs 0101010\n"
+            "seed 1\n"
+            "max-steps 1559\n"
+            "phi-weight 16\n"
+            "net-drop-permille 0\n"
+            "net-delay-max-ms 0\n"
+            "net-disconnects 0\n"
+            "tape-seed 77\n"
+            "tape 0\n"
+            "end\n");
+}
+
+TEST(Minimize, DropsTheScriptedMovesThePredicateDoesNotNeed) {
+  // Two scripted Byzantines stretch Figure 2 from two phases (silent) to
+  // three. Once the early moves have forced phase 3, what the Byzantines
+  // play from there on does not matter, so pass 4 must drop the moves for
+  // phases 3 to 5 and keep the three early moves the slowdown needs.
+  SchedulePlan p;
+  p.spec.protocol = adversary::ProtocolKind::malicious;
+  p.spec.params = {7, 2};
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    p.spec.inputs.push_back(i < 3 ? Value::zero : Value::one);
+  }
+  p.spec.byzantine_ids = {5, 6};
+  p.spec.byzantine_kind = adversary::ByzantineKind::scripted;
+  p.spec.moves = {
+      {Value::one, Value::one, 128, 0},   {Value::zero, Value::one, 128, 2},
+      {Value::one, Value::zero, 64, 1},   {Value::zero, Value::zero, 200, 2},
+      {Value::one, Value::one, 32, 2},    {Value::zero, Value::one, 255, 0},
+  };
+  p.tape_seed = 5;
+  const auto slow = [](const ExecResult& r) { return r.max_phase >= 3; };
+  ASSERT_TRUE(slow(execute(p)));
+  SchedulePlan silent = p;
+  silent.spec.moves.clear();
+  ASSERT_FALSE(slow(execute(silent)));
+
+  const SchedulePlan small = minimize(p, slow, 64);
+  EXPECT_TRUE(slow(execute(small)));
+  ASSERT_EQ(small.spec.moves.size(), 3u);
+  // Each kept move is needed: dropping any one of them loses the slowdown.
+  for (std::size_t i = 0; i < small.spec.moves.size(); ++i) {
+    SchedulePlan fewer = small;
+    fewer.spec.moves.erase(fewer.spec.moves.begin() +
+                           static_cast<std::ptrdiff_t>(i));
+    EXPECT_FALSE(slow(execute(fewer))) << "move " << i;
+  }
+  EXPECT_EQ(small.serialize(),
+            "rcp-plan-v1\n"
+            "protocol fig2\n"
+            "n 7\n"
+            "k 2\n"
+            "inputs 0001111\n"
+            "byzantine scripted 5 6\n"
+            "move 1 1 128 0\n"
+            "move 0 1 128 2\n"
+            "move 1 0 64 1\n"
+            "seed 1\n"
+            "max-steps 1013\n"
+            "phi-weight 16\n"
+            "net-drop-permille 0\n"
+            "net-delay-max-ms 0\n"
+            "net-disconnects 0\n"
+            "tape-seed 5\n"
+            "end\n");
+}
+
 TEST(Minimize, IsDeterministic) {
   SchedulePlan p;
   p.spec.protocol = adversary::ProtocolKind::malicious;

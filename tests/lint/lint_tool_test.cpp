@@ -117,9 +117,9 @@ TEST(LintTool, ExclusiveHeaderFlaggedEvenInsideOsAllowPath) {
 TEST(LintTool, SimdHeaderConfinedToKernelTu) {
   const LintRun run = run_lint("src/core/simd_violation.cpp");
   EXPECT_EQ(run.exit_code, 1) << run.output;
-  // <immintrin.h> is [[os_exclusive]] to src/core/bitops_avx2.cpp: raw
-  // SIMD intrinsics anywhere else — including elsewhere in src/core/ —
-  // must go through the dispatched bitops kernels instead.
+  // <immintrin.h> is [[os_exclusive]] with an empty allow list: raw SIMD
+  // intrinsics are banned everywhere, src/core/ included; the bit tables
+  // use the standard library instead.
   EXPECT_TRUE(has_diag(run, "src/core/simd_violation.cpp:4: error:",
                        "os-exclusive"))
       << run.output;

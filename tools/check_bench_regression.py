@@ -9,10 +9,9 @@ Three input formats are understood:
 
 * ``--micro``: google-benchmark ``--benchmark_format=json`` output from
   bench_micro; entries are matched by benchmark name (``BM_EchoEngine*``,
-  the ``BM_Bitops*`` kernel series, the ``BM_Fig2*`` delivery path, the
-  ``BM_RbEngine*``/``BM_RbxBatch*`` reliable-broadcast ingest path, and
-  the ``BM_KvStore*`` replica apply path) and compared on
-  ``items_per_second`` (echoes/sec; words/sec for kernels; delivered
+  the ``BM_Fig2*`` delivery path, the ``BM_RbEngine*``/``BM_RbxBatch*``
+  reliable-broadcast ingest path, and the ``BM_KvStore*`` replica apply
+  path) and compared on ``items_per_second`` (echoes/sec; delivered
   messages/sec for the delivery path; handled messages/sec for RbEngine
   ingest; batch entries/sec for the batch view; applied writes/sec for
   the KV store), against the ``echo_path`` baseline section.
@@ -48,12 +47,12 @@ def load_json(path):
 
 
 def micro_results(path):
-    """Name -> items_per_second for the echo-path, bit-kernel,
-    delivery-path, reliable-broadcast ingest and KV store apply benchmarks
-    in bench_micro."""
+    """Name -> items_per_second for the echo-path, delivery-path,
+    reliable-broadcast ingest and KV store apply benchmarks in
+    bench_micro."""
     doc = load_json(path)
-    prefixes = ("BM_EchoEngine", "BM_Bitops", "BM_Fig2", "BM_RbEngine",
-                "BM_RbxBatch", "BM_KvStore")
+    prefixes = ("BM_EchoEngine", "BM_Fig2", "BM_RbEngine", "BM_RbxBatch",
+                "BM_KvStore")
     return {
         b["name"]: float(b["items_per_second"])
         for b in doc.get("benchmarks", [])

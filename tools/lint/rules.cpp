@@ -150,8 +150,9 @@ void check_os_exclusive(const ScannedFile& f, const Config& cfg,
           owners += owners.empty() ? a : ", " + a;
         }
         out.push_back(Diag{f.path, inc.line, "os-exclusive",
-                           "header <" + rule.header + "> is exclusive to " +
-                               owners +
+                           "header <" + rule.header + "> is " +
+                               (owners.empty() ? "banned in every file"
+                                               : "exclusive to " + owners) +
                                "; program against the backend-hiding "
                                "interface instead (docs/LINT.md)"});
       }
