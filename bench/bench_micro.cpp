@@ -183,8 +183,7 @@ void BM_EchoEngineAcceptPath(benchmark::State& state) {
       benchmark::DoNotOptimize(engine.handle(
           echoer,
           core::EchoProtocolMsg{.is_echo = true, .from = 0,
-                                .value = Value::one, .phase = 0},
-          0));
+                                .value = Value::one, .phase = 0}));
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
@@ -205,8 +204,7 @@ void BM_EchoEngineSteadyState(benchmark::State& state) {
         benchmark::DoNotOptimize(engine.handle(
             echoer,
             core::EchoProtocolMsg{.is_echo = true, .from = origin,
-                                  .value = Value::one, .phase = t},
-            t));
+                                  .value = Value::one, .phase = t}));
       }
     }
     (void)engine.advance(++t);

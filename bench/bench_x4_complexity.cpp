@@ -10,9 +10,8 @@
 // scaling exponent between successive n. Because Figure 2's O(n^3) echo
 // traffic all funnels through EchoEngine::handle(), the second half sweeps
 // the engine's per-echo throughput across n ∈ {7, 31, 127, 301, 1001} —
-// the series the flat quorum accounting and the word-parallel kernels
-// (docs/PERF.md "Quorum accounting", "Word-parallel kernels") are
-// accountable to. The labelled `echo_path_n*` series in the --json report
+// the series the flat quorum accounting (docs/PERF.md "Quorum accounting")
+// is accountable to. The labelled `echo_path_n*` series in the --json report
 // feed the CI regression gate (tools/check_bench_regression.py) against
 // BENCH_BASELINE.json.
 #include <algorithm>
@@ -54,8 +53,8 @@ double messages_per_phase(ProtocolKind protocol, std::uint32_t n) {
 }
 
 /// Drives `phases` full Figure 2 phases through one EchoEngine: every
-/// origin's initial, the full n x n echo matrix, then the phase advance
-/// with its deferred replay. Returns the number of echoes handled.
+/// origin's initial, the full n x n echo matrix, then the phase advance.
+/// Returns the number of echoes handled.
 std::uint64_t drive_echo_phases(core::EchoEngine& engine, std::uint32_t n,
                                 Phase& t, std::uint64_t phases) {
   std::uint64_t echoes = 0;
@@ -65,14 +64,12 @@ std::uint64_t drive_echo_phases(core::EchoEngine& engine, std::uint32_t n,
       (void)engine.handle(
           origin,
           core::EchoProtocolMsg{
-              .is_echo = false, .from = origin, .value = v, .phase = t},
-          t);
+              .is_echo = false, .from = origin, .value = v, .phase = t});
       for (ProcessId echoer = 0; echoer < n; ++echoer) {
         (void)engine.handle(
             echoer,
             core::EchoProtocolMsg{
-                .is_echo = true, .from = origin, .value = v, .phase = t},
-            t);
+                .is_echo = true, .from = origin, .value = v, .phase = t});
         ++echoes;
       }
     }

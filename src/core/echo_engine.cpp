@@ -14,13 +14,10 @@ namespace rcp::core {
 
 EchoEngine::EchoEngine(ConsensusParams params)
     : params_(params),
-      echo_window_(static_cast<std::size_t>(kPhaseWindow) * params.n,
-                   params.n),
-      tally_stride_(padded_to_cache_line<std::uint32_t>(params.n)) {
+      tally_(static_cast<std::size_t>(kPhaseWindow) * params.n, params.n,
+             static_cast<std::uint32_t>(kBothValues.size())) {
   // rcp-lint: allow(hot-alloc) one-time table setup at construction
   initial_next_.assign(params.n, 0);
-  // rcp-lint: allow(hot-alloc) one-time table setup at construction
-  tally_lanes_.assign(2 * tally_stride_, 0);
 }
 
 void EchoEngine::handle_initial(Outcome& out, ProcessId sender,
@@ -39,15 +36,8 @@ void EchoEngine::handle_initial(Outcome& out, ProcessId sender,
       .is_echo = true, .from = msg.from, .value = msg.value, .phase = msg.phase};
 }
 
-void EchoEngine::defer_echo(const EchoProtocolMsg& msg) {
-  // rcp-lint: allow(hot-alloc) deferred ring growth until steady state
-  deferred_.push_back(
-      DeferredEcho{.origin = msg.from, .value = msg.value, .phase = msg.phase});
-}
-
-void EchoEngine::handle_echo_outside_window(Outcome& out, ProcessId sender,
-                                            const EchoProtocolMsg& msg,
-                                            Phase current_phase) {
+void EchoEngine::record_overflow(ProcessId sender,
+                                 const EchoProtocolMsg& msg) {
   // Exact set semantics for the dedup triple when its phase cannot be
   // indexed by the flat window: scan-and-insert in the overflow ledger.
   for (const OverflowEntry& entry : echo_overflow_) {
@@ -57,13 +47,15 @@ void EchoEngine::handle_echo_outside_window(Outcome& out, ProcessId sender,
     }
   }
   // rcp-lint: allow(hot-alloc) overflow ledger holds beyond-window phases
-  echo_overflow_.push_back(
-      OverflowEntry{.echoer = sender, .origin = msg.from, .phase = msg.phase});
-  if (msg.phase > current_phase) {
-    defer_echo(msg);
-    return;
-  }
-  out.accepted = tally(msg.from, msg.value);
+  echo_overflow_.push_back(OverflowEntry{.echoer = sender,
+                                         .origin = msg.from,
+                                         .value = msg.value,
+                                         .phase = msg.phase});
+}
+
+void EchoEngine::hold_crossing(Phase phase, Accept accept) {
+  // rcp-lint: allow(hot-alloc) crossing list growth until steady state
+  crossings_.push_back(Crossing{.phase = phase, .accept = accept});
 }
 
 bool EchoEngine::initial_is_fresh(ProcessId origin, Phase phase) {
@@ -105,26 +97,24 @@ bool EchoEngine::initial_is_fresh(ProcessId origin, Phase phase) {
 std::span<const EchoEngine::Accept> EchoEngine::advance(Phase new_phase) {
   RCP_EXPECT(new_phase >= window_base_,
              "EchoEngine phases advance monotonically");
-  // Reset both SoA tally lanes with one flat fill (uint32 lanes are
-  // contiguous in a single aligned buffer).
-  std::fill(tally_lanes_.begin(), tally_lanes_.end(), 0);
-
-  // Reclaim dedup rows for phases that are now in the past: their echoes
-  // would be dropped as stale before the dedup check anyway. Each phase's
-  // rows are contiguous (slot-major layout), one flat fill per
-  // phase; the slot's live-bit counter resets with it.
+  // Reclaim the rows of phases that are now in the past: their echoes
+  // would be dropped as stale before the vote anyway. Each phase's rows
+  // are contiguous (slot-major layout), one flat fill per phase; the
+  // slot's live-bit counter resets with it.
   const Phase last_reclaimed =
       std::min(new_phase, window_base_ + kPhaseWindow);
   for (Phase t = window_base_; t < last_reclaimed; ++t) {
-    echo_window_.clear_rows(window_row(t, 0), params_.n);
+    tally_.reset_rows(window_row(t, 0), params_.n);
     slot_live_bits_[t & (kPhaseWindow - 1)] = 0;
   }
   window_base_ = new_phase;
 
-  // Overflow entries whose phases slid into the window migrate to bitset
-  // rows; stale ones drop; the remainder compacts in place. Migrated
-  // entries land in rows reclaimed above (the overflow ledger is exact, so
-  // every migration sets a fresh bit), and the slot counters follow.
+  // Overflow entries whose phases slid into the window are counted in
+  // their rows now; stale ones drop; the remainder compacts in place.
+  // A phase's overflow echoes all arrived before any of its in-window
+  // echoes (it was beyond the window until this advance), so counting
+  // them here, in ledger order, keeps arrival order. They land in rows
+  // reclaimed above, and the ledger is exact, so every vote counts.
   std::size_t kept_overflow = 0;
   for (std::size_t i = 0; i < echo_overflow_.size(); ++i) {
     const OverflowEntry entry = echo_overflow_[i];
@@ -132,9 +122,14 @@ std::span<const EchoEngine::Accept> EchoEngine::advance(Phase new_phase) {
       continue;  // stale
     }
     if (entry.phase - new_phase < kPhaseWindow) {
-      if (echo_window_.test_and_set(window_row(entry.phase, entry.origin),
-                                    entry.echoer)) {
+      const Vote vote = tally_.vote(window_row(entry.phase, entry.origin),
+                                    entry.echoer, entry.value);
+      if (vote.status != VoteStatus::duplicate) {
         ++slot_live_bits_[entry.phase & (kPhaseWindow - 1)];
+      }
+      if (vote.count == params_.echo_acceptance_threshold()) {
+        hold_crossing(entry.phase,
+                      Accept{.origin = entry.origin, .value = entry.value});
       }
       continue;
     }
@@ -143,40 +138,29 @@ std::span<const EchoEngine::Accept> EchoEngine::advance(Phase new_phase) {
   // rcp-lint: allow(hot-alloc) shrinking resize, recycles in place
   echo_overflow_.resize(kept_overflow);
 
-  // Replay deferred echoes for the new phase in arrival order; keep later
-  // phases by stable in-place compaction (the recycling-ring idiom — the
-  // ring's capacity is the steady state, no per-advance allocation).
+  // Hand out the new phase's crossings in arrival order; keep later
+  // phases by stable in-place compaction, drop skipped ones.
   replayed_.clear();
-  std::size_t kept_deferred = 0;
-  for (std::size_t i = 0; i < deferred_.size(); ++i) {
-    const DeferredEcho d = deferred_[i];
-    if (d.phase == new_phase) {
-      if (auto a = tally(d.origin, d.value)) {
-        // rcp-lint: allow(hot-alloc) replay buffer growth until steady state
-        replayed_.push_back(*a);
-      }
-    } else if (d.phase > new_phase) {
-      deferred_[kept_deferred++] = d;
+  std::size_t kept_crossings = 0;
+  for (std::size_t i = 0; i < crossings_.size(); ++i) {
+    const Crossing c = crossings_[i];
+    if (c.phase == new_phase) {
+      // rcp-lint: allow(hot-alloc) result buffer growth until steady state
+      replayed_.push_back(c.accept);
+    } else if (c.phase > new_phase) {
+      crossings_[kept_crossings++] = c;
     }
-    // d.phase < new_phase: stale by now; dropped.
   }
   // rcp-lint: allow(hot-alloc) shrinking resize, recycles in place
-  deferred_.resize(kept_deferred);
+  crossings_.resize(kept_crossings);
   return replayed_;
 }
 
-std::uint32_t EchoEngine::echo_count(ProcessId origin,
-                                     Value value) const noexcept {
-  return origin < params_.n ? tally_lanes_[lane_index(origin, value)] : 0;
-}
-
 std::size_t EchoEngine::memory_bytes() const noexcept {
-  return echo_window_.memory_bytes() +
-         initial_next_.capacity() * sizeof(Phase) +
+  return tally_.memory_bytes() + initial_next_.capacity() * sizeof(Phase) +
          initial_sparse_.capacity() * sizeof(initial_sparse_[0]) +
          echo_overflow_.capacity() * sizeof(OverflowEntry) +
-         tally_lanes_.capacity() * sizeof(std::uint32_t) +
-         deferred_.capacity() * sizeof(DeferredEcho) +
+         crossings_.capacity() * sizeof(Crossing) +
          replayed_.capacity() * sizeof(Accept);
 }
 

@@ -13,24 +13,21 @@
 //    a forgery and is dropped),
 //  - at-most-one-echo deduplication per (echoer, origin, phase),
 //  - per-phase echo counting with single-shot acceptance at the threshold,
-//  - deferral of echoes for future phases (the pseudocode's self-requeue
-//    device, implemented as an internal buffer so the original echoer's
-//    identity survives the wait — a literal self-send would overwrite it).
+//  - early echoes for future phases (the pseudocode's self-requeue device)
+//    are counted on arrival; a quorum they complete is held as a
+//    *crossing* until advance() reaches its phase.
 //
 // The bookkeeping is flat and allocation-free in steady state (the repo's
-// hot-alloc contract, docs/PERF.md "Quorum accounting"): echo dedup lives
-// in a BitRows matrix indexed by (phase mod window, origin) with the echoer
-// as the bit, tallies are struct-of-arrays counter lanes (one contiguous
-// cache-line-aligned lane per value, padded so lanes never share a line),
-// and the deferred buffer is a recycling ring compacted in place. The
-// per-echo fast path — bounds checks, one dedup bit test-and-set, one lane
-// increment against the Figure-2 threshold — is defined here in the header
-// so callers' message loops inline it whole; the rare cases a flat window
-// cannot index exactly (echoes deferred beyond the window, out-of-order
-// initial phases) spill to small exact side ledgers behind cold out-of-line
-// calls, so the observable semantics match the node-based containers they
-// replaced bit for bit (pinned by the trace-digest goldens). Bulk work —
-// phase-window reclamation, tally resets — is one flat library fill.
+// hot-alloc contract, docs/PERF.md "Quorum accounting"): one VoteTally
+// (core/quorum.hpp) row per (phase mod window, origin) with the echoer as
+// the gate bit, and a short crossing list. The per-echo fast path — bounds
+// checks, one vote, one threshold comparison — is defined here in the
+// header so callers' message loops inline it whole; the rare cases a flat
+// window cannot index exactly (echoes beyond the window, out-of-order
+// initial phases) spill to small exact side ledgers behind cold
+// out-of-line calls, so the observable semantics match the node-based
+// containers they replaced bit for bit (pinned by the trace-digest
+// goldens).
 #pragma once
 
 #include <cstdint>
@@ -66,18 +63,17 @@ class EchoEngine {
     std::optional<Accept> accepted;
   };
 
-  /// Feeds a decoded message received from authenticated `sender` while the
-  /// caller is in `current_phase`. Messages naming an origin outside
-  /// [0, n) are dropped up front: correct processes only ever echo real
-  /// process ids, so a fabricated origin can never assemble an acceptance
-  /// quorum — rejecting it early is outcome-identical and keeps the flat
-  /// tables indexable by origin.
+  /// Feeds a decoded message received from authenticated `sender` in the
+  /// phase advance() last set (0 before any advance). Messages naming an
+  /// origin outside [0, n) are dropped up front: correct processes only
+  /// ever echo real process ids, so a fabricated origin can never assemble
+  /// an acceptance quorum — rejecting it early is outcome-identical and
+  /// keeps the flat tables indexable by origin.
   ///
   /// Defined inline: this is the per-message hot path, and at bench scale
   /// the cross-TU call (spilled registers, reloaded loop invariants) costs
   /// as much as the bookkeeping itself.
-  [[nodiscard]] Outcome handle(ProcessId sender, const EchoProtocolMsg& msg,
-                               Phase current_phase) {
+  [[nodiscard]] Outcome handle(ProcessId sender, const EchoProtocolMsg& msg) {
     Outcome out;
     // The wire format does not bound `from`; a fabricated origin >= n can
     // never be accepted (correct processes never echo it, and the k
@@ -90,10 +86,10 @@ class EchoEngine {
       handle_initial(out, sender, msg);
       return out;
     }
-    // Stale echoes are dropped without touching the dedup table: recording
-    // them would let a Byzantine process grow our memory without bound by
+    // Stale echoes are dropped without touching the tally: recording them
+    // would let a Byzantine process grow our memory without bound by
     // replaying old-phase traffic.
-    if (msg.phase < current_phase) {
+    if (msg.phase < window_base_) {
       return out;
     }
     // Mirror image of the origin bound above: n is the whole id space, so
@@ -102,56 +98,69 @@ class EchoEngine {
     if (sender >= params_.n) {
       return out;
     }
-    if (msg.phase >= window_base_ &&
-        msg.phase - window_base_ < kPhaseWindow) [[likely]] {
-      // At most one echo per (echoer, origin, phase) is processed,
+    if (msg.phase - window_base_ < kPhaseWindow) [[likely]] {
+      // At most one echo per (echoer, origin, phase) is counted,
       // regardless of value — so a correct receiver never counts two echoes
       // from the same echoer about the same origin and phase.
-      if (!echo_window_.test_and_set(window_row(msg.phase, msg.from),
-                                     sender)) {
+      const Vote vote =
+          tally_.vote(window_row(msg.phase, msg.from), sender, msg.value);
+      if (vote.status == VoteStatus::duplicate) {
         return out;
       }
       ++slot_live_bits_[msg.phase & (kPhaseWindow - 1)];
-      if (msg.phase > current_phase) [[unlikely]] {
-        defer_echo(msg);
-        return out;
+      if (vote.count == params_.echo_acceptance_threshold()) {
+        const Accept accept{.origin = msg.from, .value = msg.value};
+        if (msg.phase == window_base_) [[likely]] {
+          out.accepted = accept;
+        } else {
+          hold_crossing(msg.phase, accept);
+        }
       }
-      out.accepted = tally(msg.from, msg.value);
       return out;
     }
-    handle_echo_outside_window(out, sender, msg, current_phase);
+    record_overflow(sender, msg);
     return out;
   }
 
-  /// Advances to a new phase: clears the per-phase echo tallies, reclaims
-  /// dedup slots for phases now in the past, and replays deferred echoes
-  /// addressed to `new_phase`. Returns the acceptance events the replay
-  /// produced, in original arrival order; the view aliases an internal
-  /// buffer and is valid until the next advance() call. Phases must be
-  /// advanced monotonically.
+  /// Advances to a new phase: reclaims tally rows for phases now in the
+  /// past, moves overflow-ledger echoes that fall into the window into
+  /// their rows, and returns the crossings held for `new_phase` — the
+  /// acceptances its early echoes completed — in arrival order. The view
+  /// aliases an internal buffer and is valid until the next advance() call.
+  /// Phases must be advanced monotonically; advancing to the current phase
+  /// changes nothing.
   [[nodiscard]] std::span<const Accept> advance(Phase new_phase);
 
   /// Echo tally for (origin, value) in the current phase (test observer).
   [[nodiscard]] std::uint32_t echo_count(ProcessId origin,
-                                         Value value) const noexcept;
+                                         Value value) const noexcept {
+    return origin < params_.n
+               ? tally_.count(window_row(window_base_, origin), value)
+               : 0;
+  }
 
-  /// Number of echoes parked for phases beyond the current one.
+  /// Number of echoes recorded for phases beyond the current one: the live
+  /// gate bits of the window's future slots plus the overflow ledger.
   [[nodiscard]] std::size_t deferred_count() const noexcept {
-    return deferred_.size();
+    std::size_t future = echo_overflow_.size();
+    for (Phase t = window_base_ + 1; t < window_base_ + kPhaseWindow; ++t) {
+      future += slot_live_bits_[t & (kPhaseWindow - 1)];
+    }
+    return future;
   }
 
   /// Number of live echo dedup entries (memory-bound observability:
   /// advance() reclaims entries for past phases). Maintained incrementally
   /// — per-slot live-bit counters bumped on every fresh dedup bit, zeroed
   /// with their slot — so this is O(1); debug builds cross-check against a
-  /// full popcount scan of the window.
+  /// full popcount scan of the window's gates.
   [[nodiscard]] std::size_t echo_dedup_size() const RCP_RELEASE_NOEXCEPT {
     std::size_t live = 0;
     for (const std::size_t slot : slot_live_bits_) {
       live += slot;
     }
 #ifndef NDEBUG
-    RCP_INVARIANT(live == echo_window_.popcount_all(),
+    RCP_INVARIANT(live == tally_.voted_total(),
                   "incremental live-bit count matches window popcount");
 #endif
     return live + echo_overflow_.size();
@@ -169,62 +178,43 @@ class EchoEngine {
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  /// Dedup slots cover phases [window_base_, window_base_ + kPhaseWindow);
-  /// beyond that, entries go to the exact overflow ledger. Power of two so
+  /// Tally rows cover phases [window_base_, window_base_ + kPhaseWindow);
+  /// beyond that, echoes go to the exact overflow ledger. Power of two so
   /// the slot index is a mask. In a run the window only ever needs two live
   /// phases (current and next) — four slots leave slack for skewed peers.
   static constexpr Phase kPhaseWindow = 4;
 
-  struct DeferredEcho {
+  /// An echo whose phase lay beyond the window when it arrived.
+  struct OverflowEntry {
+    ProcessId echoer = 0;
     ProcessId origin = 0;
     Value value = Value::zero;
     Phase phase = 0;
   };
 
-  /// An echo dedup entry for a phase outside the bitset window.
-  struct OverflowEntry {
-    ProcessId echoer = 0;
-    ProcessId origin = 0;
+  /// An acceptance completed in a future phase, held until advance().
+  struct Crossing {
     Phase phase = 0;
+    Accept accept;
   };
-
-  /// Counts one current-phase echo; returns an Accept if the threshold was
-  /// crossed by exactly this echo. One increment in the value's SoA counter
-  /// lane; the acceptance threshold is loop-invariant and inlines to a
-  /// constant comparison.
-  [[nodiscard]] std::optional<Accept> tally(ProcessId origin, Value value) {
-    const std::uint32_t count = ++tally_lanes_[lane_index(origin, value)];
-    if (count == params_.echo_acceptance_threshold()) {
-      return Accept{.origin = origin, .value = value};
-    }
-    return std::nullopt;
-  }
-
-  /// Index of (origin, value) in the SoA tally lanes: lane `value`, slot
-  /// `origin`; lanes are padded to whole cache lines (tally_stride_).
-  [[nodiscard]] std::size_t lane_index(ProcessId origin,
-                                       Value value) const noexcept {
-    return value_index(value) * tally_stride_ + origin;
-  }
 
   /// Cold path: initial-message forgery check + freshness ledger.
   void handle_initial(Outcome& out, ProcessId sender,
                       const EchoProtocolMsg& msg);
 
-  /// Cold path: dedup + defer/tally for echoes whose phase lies outside
-  /// the flat window (exact overflow-ledger semantics).
-  void handle_echo_outside_window(Outcome& out, ProcessId sender,
-                                  const EchoProtocolMsg& msg,
-                                  Phase current_phase);
+  /// Cold path: dedup into the exact overflow ledger for echoes whose
+  /// phase lies beyond the window; they are counted when they migrate.
+  void record_overflow(ProcessId sender, const EchoProtocolMsg& msg);
 
-  /// Cold path: parks a fresh future-phase echo in the deferred ring.
-  void defer_echo(const EchoProtocolMsg& msg);
+  /// Cold path: holds a future phase's acceptance for advance().
+  void hold_crossing(Phase phase, Accept accept);
 
   /// Exact `seen_initial_` set semantics over flat state: true (and
   /// records) when (origin, phase) was not yet seen.
   [[nodiscard]] bool initial_is_fresh(ProcessId origin, Phase phase);
 
-  /// Row of echo_window_ holding phase's echoer bitset for `origin`.
+  /// Tally row of (phase, origin): slot-major, so a phase's rows are one
+  /// contiguous span.
   [[nodiscard]] std::size_t window_row(Phase phase,
                                        ProcessId origin) const noexcept {
     return static_cast<std::size_t>(phase & (kPhaseWindow - 1)) * params_.n +
@@ -232,6 +222,7 @@ class EchoEngine {
   }
 
   ConsensusParams params_;
+  /// The current phase: the one advance() last set.
   Phase window_base_ = 0;
 
   /// Initial-message ledger: per origin, phases [0, initial_next_[o]) are
@@ -241,27 +232,20 @@ class EchoEngine {
   std::vector<Phase> initial_next_;
   std::vector<std::pair<ProcessId, Phase>> initial_sparse_;
 
-  /// Echo dedup: kPhaseWindow * n rows of n bits; row (slot, origin), bit
-  /// echoer. Plus the exact overflow ledger for beyond-window phases.
-  BitRows echo_window_;
+  /// Echo votes: kPhaseWindow * n rows of n gate bits and two value lanes;
+  /// row (slot, origin), bit echoer. Plus the exact overflow ledger for
+  /// beyond-window phases, in arrival order.
+  VoteTally<Value> tally_;
   std::vector<OverflowEntry> echo_overflow_;
 
-  /// Live dedup bits per window slot, maintained incrementally (bumped on
-  /// every fresh test_and_set, zeroed when the slot's rows are reclaimed)
-  /// so echo_dedup_size() never rescans the window.
+  /// Live gate bits per window slot, maintained incrementally (bumped on
+  /// every counted vote, zeroed when the slot's rows are reclaimed) so
+  /// echo_dedup_size() and deferred_count() never rescan the window.
   std::size_t slot_live_bits_[kPhaseWindow] = {};
 
-  /// Current-phase tallies in struct-of-arrays form: lane v (a contiguous,
-  /// cache-line-aligned run of tally_stride_ uint32 counters) holds every
-  /// origin's tally for value v. Replaces the interleaved ValueCounts
-  /// array: threshold scans touch one value's counters as one contiguous
-  /// stream, and a phase reset is a single flat fill.
-  AlignedVector<std::uint32_t> tally_lanes_;
-  std::size_t tally_stride_ = 0;
-
-  /// Recycling ring of future-phase echoes, compacted in place by
-  /// advance(); order is arrival order.
-  std::vector<DeferredEcho> deferred_;
+  /// Acceptances completed in future phases, in arrival order; advance()
+  /// hands out the new phase's and compacts the rest in place.
+  std::vector<Crossing> crossings_;
 
   /// Reused advance() result buffer; the returned span aliases it.
   std::vector<Accept> replayed_;

@@ -38,7 +38,7 @@ void MaliciousConsensus::on_message(sim::Context& ctx,
   } catch (const DecodeError&) {
     return;  // Byzantine garbage; drop
   }
-  EchoEngine::Outcome outcome = engine_.handle(env.sender, msg, phaseno_);
+  EchoEngine::Outcome outcome = engine_.handle(env.sender, msg);
   if (outcome.echo_to_broadcast.has_value()) {
     ctx.broadcast(outcome.echo_to_broadcast->encode());
   }
@@ -76,7 +76,7 @@ void MaliciousConsensus::consume_accepts(
     }
     phaseno_ += 1;
     message_count_.reset();
-    // Replayed deferred echoes may immediately produce acceptances for the
+    // Quorums that early echoes completed are acceptances for the
     // new phase — possibly enough to complete it, hence the outer loop.
     accepts = engine_.advance(phaseno_);
     idx = 0;

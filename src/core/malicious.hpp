@@ -53,7 +53,7 @@ class MaliciousConsensus final : public sim::Process {
   MaliciousConsensus(ConsensusParams params, Value initial_value);
 
   /// Applies a batch of acceptance events, completing phases as they fill.
-  /// The span may alias the engine's replay buffer; each advance() call
+  /// The span may alias the engine's advance() buffer; each advance() call
   /// replaces it with the fresh buffer before anything is read again.
   void consume_accepts(sim::Context& ctx,
                        std::span<const EchoEngine::Accept> accepts);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <span>
-#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -106,23 +105,15 @@ RbEngine::RbEngine(core::ConsensusParams params, std::uint32_t capacity_hint,
       // A sender gets one counted vote per kind, so at most n distinct
       // values can ever appear; k + 2 covers the fault budget with slack.
       lanes_(std::max(std::min(params.k + 2, params.n), 2u)) {
-  RCP_EXPECT(params_.n >= 1 && params_.n <= 0xffffu,
-             "RbEngine: n must fit the 16-bit quorum tallies");
   const std::uint32_t cap =
       std::bit_ceil(std::max(capacity_hint, kMinCapacity));
+  // First: the tally rejects an n its 16-bit counts cannot hold before
+  // anything is allocated.
+  echo_ = core::VoteTally<RbValue>(cap, params_.n, lanes_);
+  ready_ = core::VoteTally<RbValue>(cap, params_.n, lanes_);
   slots_ = std::vector<Instance>(cap);
   bucket_heads_ = std::vector<std::uint32_t>(2ULL * cap, kNil);
   bucket_mask_ = 2ULL * cap - 1;
-  echo_voted_ = core::BitRows(cap, params_.n);
-  ready_voted_ = core::BitRows(cap, params_.n);
-  echo_lane_value_ = core::AlignedVector<RbValue>(
-      static_cast<std::size_t>(cap) * lanes_, 0);
-  ready_lane_value_ = core::AlignedVector<RbValue>(
-      static_cast<std::size_t>(cap) * lanes_, 0);
-  echo_count_ = core::AlignedVector<std::uint16_t>(
-      static_cast<std::size_t>(cap) * lanes_, 0);
-  ready_count_ = core::AlignedVector<std::uint16_t>(
-      static_cast<std::size_t>(cap) * lanes_, 0);
   retired_below_ = std::vector<std::uint64_t>(params_.n, 0);
   live_per_origin_ = std::vector<std::uint32_t>(params_.n, 0);
   unanchored_per_origin_ = std::vector<std::uint32_t>(params_.n, 0);
@@ -209,8 +200,6 @@ std::uint32_t RbEngine::obtain(ProcessId origin, std::uint64_t tag,
   // instance.
   inst.origin = origin;
   inst.tag = tag;
-  inst.echo_lanes_used = 0;
-  inst.ready_lanes_used = 0;
   inst.echoed = false;
   inst.has_ready_sent = false;
   inst.has_delivered = false;
@@ -220,37 +209,14 @@ std::uint32_t RbEngine::obtain(ProcessId origin, std::uint64_t tag,
   if (!anchored) {
     ++unanchored_per_origin_[origin];
   }
-  const std::size_t row0 = static_cast<std::size_t>(slot) * lanes_;
-  echo_voted_.clear_rows(slot, 1);
-  ready_voted_.clear_rows(slot, 1);
-  std::fill_n(echo_count_.begin() + static_cast<std::ptrdiff_t>(row0), lanes_,
-              std::uint16_t{0});
-  std::fill_n(ready_count_.begin() + static_cast<std::ptrdiff_t>(row0), lanes_,
-              std::uint16_t{0});
+  echo_.reset_rows(slot, 1);
+  ready_.reset_rows(slot, 1);
   const std::uint64_t bucket = mix_key(origin, tag) & bucket_mask_;
   inst.next = bucket_heads_[bucket];
   bucket_heads_[bucket] = slot;
   ++live_count_;
   ++live_per_origin_[origin];
   return slot;
-}
-
-std::uint32_t RbEngine::lane_of(
-    std::uint32_t slot, RbValue value,
-    core::AlignedVector<RbValue>& lane_values,
-    std::uint16_t& lanes_used) {
-  const std::size_t row0 = static_cast<std::size_t>(slot) * lanes_;
-  for (std::uint32_t l = 0; l < lanes_used; ++l) {
-    if (lane_values[row0 + l] == value) {
-      return l;
-    }
-  }
-  if (lanes_used == lanes_) {
-    return kNil;
-  }
-  const std::uint32_t l = lanes_used++;
-  lane_values[row0 + l] = value;
-  return l;
 }
 
 void RbEngine::release(std::uint32_t slot) noexcept {
@@ -284,22 +250,8 @@ void RbEngine::grow() {
   std::vector<Instance> new_slots(new_cap);
   std::move(slots_.begin(), slots_.end(), new_slots.begin());
   slots_ = std::move(new_slots);
-  core::BitRows new_echo_voted(new_cap, params_.n);
-  new_echo_voted.copy_rows_from(echo_voted_, old_cap);
-  echo_voted_ = std::move(new_echo_voted);
-  core::BitRows new_ready_voted(new_cap, params_.n);
-  new_ready_voted.copy_rows_from(ready_voted_, old_cap);
-  ready_voted_ = std::move(new_ready_voted);
-  const auto grow_lane = [new_cap, this](auto& lane) {
-    std::remove_reference_t<decltype(lane)> bigger(
-        static_cast<std::size_t>(new_cap) * lanes_, 0);
-    std::copy(lane.begin(), lane.end(), bigger.begin());
-    lane = std::move(bigger);
-  };
-  grow_lane(echo_lane_value_);
-  grow_lane(ready_lane_value_);
-  grow_lane(echo_count_);
-  grow_lane(ready_count_);
+  echo_.grow(new_cap);
+  ready_.grow(new_cap);
   // Rebuild the bucket chains and the free list over the doubled pool.
   bucket_heads_ = std::vector<std::uint32_t>(2ULL * new_cap, kNil);
   bucket_mask_ = 2ULL * new_cap - 1;
@@ -320,18 +272,6 @@ void RbEngine::grow() {
 RbxMsg RbEngine::start(ProcessId self, std::uint64_t tag, RbValue value) {
   return RbxMsg{
       .kind = RbxMsg::Kind::initial, .origin = self, .tag = tag, .value = value};
-}
-
-void RbEngine::maybe_ready(std::uint32_t slot, RbValue value, Outcome& out) {
-  Instance& inst = slots_[slot];
-  if (inst.has_ready_sent) {
-    return;
-  }
-  inst.has_ready_sent = true;
-  out.to_broadcast.push(RbxMsg{.kind = RbxMsg::Kind::ready,
-                               .origin = inst.origin,
-                               .tag = inst.tag,
-                               .value = value});
 }
 
 RbEngine::Outcome RbEngine::handle(ProcessId sender, const RbxMsg& msg) {
@@ -377,43 +317,36 @@ RbEngine::Outcome RbEngine::handle(ProcessId sender, const RbxMsg& msg) {
                                    .value = msg.value});
       return out;
     }
-    case RbxMsg::Kind::echo: {
-      // One counted echo per sender per instance: a correct process sends
-      // exactly one, so a second (same value or not) is Byzantine noise —
-      // and a sender can therefore never claim more than one value lane.
-      if (!echo_voted_.test_and_set(slot, sender)) {
-        ++stats_.dropped_sender_dup;
-        return out;
-      }
-      const std::uint32_t lane =
-          lane_of(slot, msg.value, echo_lane_value_, inst.echo_lanes_used);
-      if (lane == kNil) {
-        ++stats_.dropped_slot_overflow;
-        return out;
-      }
-      const std::size_t row = static_cast<std::size_t>(slot) * lanes_ + lane;
-      if (++echo_count_[row] >= params_.echo_acceptance_threshold()) {
-        maybe_ready(slot, msg.value, out);
-      }
-      return out;
-    }
+    case RbxMsg::Kind::echo:
     case RbxMsg::Kind::ready: {
-      if (!ready_voted_.test_and_set(slot, sender)) {
+      // One counted vote per sender per instance and stage: a correct
+      // process sends exactly one echo and at most one ready, so a second
+      // (same value or not) is Byzantine noise — and a sender can
+      // therefore never claim more than one value lane per stage.
+      const bool is_echo = msg.kind == RbxMsg::Kind::echo;
+      const core::Vote vote =
+          (is_echo ? echo_ : ready_).vote(slot, sender, msg.value);
+      if (vote.status == core::VoteStatus::duplicate) {
         ++stats_.dropped_sender_dup;
         return out;
       }
-      const std::uint32_t lane =
-          lane_of(slot, msg.value, ready_lane_value_, inst.ready_lanes_used);
-      if (lane == kNil) {
+      if (vote.status == core::VoteStatus::overflow) {
         ++stats_.dropped_slot_overflow;
         return out;
       }
-      const std::size_t row = static_cast<std::size_t>(slot) * lanes_ + lane;
-      const std::uint16_t count = ++ready_count_[row];
-      if (count >= params_.ready_amplification_threshold()) {
-        maybe_ready(slot, msg.value, out);
+      // An echo quorum, or k + 1 readies (one from a correct process),
+      // sends our one READY.
+      if (!inst.has_ready_sent &&
+          vote.count >= (is_echo ? params_.echo_acceptance_threshold()
+                                 : params_.ready_amplification_threshold())) {
+        inst.has_ready_sent = true;
+        out.to_broadcast.push(RbxMsg{.kind = RbxMsg::Kind::ready,
+                                     .origin = msg.origin,
+                                     .tag = msg.tag,
+                                     .value = msg.value});
       }
-      if (count >= params_.ready_delivery_threshold() && !inst.has_delivered) {
+      if (!is_echo && vote.count >= params_.ready_delivery_threshold() &&
+          !inst.has_delivered) {
         inst.has_delivered = true;
         inst.delivered_value = msg.value;
         out.delivered = Delivery{
@@ -444,9 +377,9 @@ bool RbEngine::voted(ProcessId sender, ProcessId origin, std::uint64_t tag,
     case RbxMsg::Kind::initial:
       return sender == origin && slots_[slot].echoed;
     case RbxMsg::Kind::echo:
-      return echo_voted_.test(slot, sender);
+      return echo_.voted(slot, sender);
     case RbxMsg::Kind::ready:
-      return ready_voted_.test(slot, sender);
+      return ready_.voted(slot, sender);
   }
   return false;
 }

@@ -44,9 +44,9 @@
 //    delay, never divergence.
 //
 // Storage is flat (docs/PERF.md "Quorum accounting"): instances live in a
-// preallocated slot pool indexed by an open hash on (origin, tag), the
-// per-sender vote gates are one core::BitRows bit per (slot, sender) and
-// kind, and tallies are plain counters. Steady-state
+// preallocated slot pool indexed by an open hash on (origin, tag), and each
+// stage's votes are one core::VoteTally row per slot (gate bit per sender,
+// k + 2 first-come value lanes). Steady-state
 // handle()/retire_through() is allocation-free — the pool only reallocates
 // when the number of live instances outgrows capacity, which callers bound
 // with retirement plus the per-origin cap. This file is under the
@@ -188,7 +188,7 @@ class RbEngine {
   /// bound against phantom-tag floods. Size it well above the origin's
   /// real origination window — it is a DoS backstop, not flow control;
   /// in-cap protocol traffic is never dropped. Requires 1 <= n <= 65535
-  /// (tallies are 16-bit).
+  /// (VoteTally counts are 16-bit).
   explicit RbEngine(core::ConsensusParams params,
                     std::uint32_t capacity_hint = 0,
                     RbValue max_value = kMaxRbValue,
@@ -290,10 +290,6 @@ class RbEngine {
   struct Instance {
     ProcessId origin = 0;
     std::uint64_t tag = 0;
-    /// First-come lanes in use per kind; lane l's values/tallies live at
-    /// row slot * lanes_ + l of the flat lane arrays.
-    std::uint16_t echo_lanes_used = 0;
-    std::uint16_t ready_lanes_used = 0;
     bool echoed = false;
     bool has_ready_sent = false;
     bool has_delivered = false;
@@ -319,21 +315,12 @@ class RbEngine {
   /// Releases the first undelivered unanchored live instance of `origin`
   /// to make room for an anchored one; false when none exists.
   [[nodiscard]] bool evict_unanchored(ProcessId origin);
-  /// Returns the tally lane for `value` among `lane_values` (the echo or
-  /// ready lane set of `slot`), claiming a free lane on first sight; kNil
-  /// when all lanes hold other values (overflow).
-  [[nodiscard]] std::uint32_t lane_of(
-      std::uint32_t slot, RbValue value,
-      core::AlignedVector<RbValue>& lane_values,
-      std::uint16_t& lanes_used);
   /// Unlinks `slot` from its bucket and pushes it on the free list.
   void release(std::uint32_t slot) noexcept;
   /// Frees the live slot `*link` names, where `link` is the bucket-chain
   /// link (a bucket head or an Instance::next) that points at it.
   void unlink(std::uint32_t* link) noexcept;
   void grow();
-  /// Appends the READY transition for `value` if not yet sent.
-  void maybe_ready(std::uint32_t slot, RbValue value, Outcome& out);
 
   core::ConsensusParams params_;
   RbValue max_value_;
@@ -347,18 +334,11 @@ class RbEngine {
   std::uint64_t bucket_mask_ = 0;
   std::uint32_t free_head_ = kNil;
   std::size_t live_count_ = 0;
-  /// One counted vote per sender per instance per kind: row = slot,
-  /// bit = sender. The gate that makes lanes exhaustion-proof.
-  core::BitRows echo_voted_;
-  core::BitRows ready_voted_;
-  /// First-come value lanes and tallies, row = slot * lanes_ + lane, in
-  /// struct-of-arrays form: each array is one flat cache-line-aligned lane
-  /// (core/quorum.hpp allocator), so the echo path streams values and
-  /// counts as separate contiguous arrays instead of interleaved records.
-  core::AlignedVector<RbValue> echo_lane_value_;
-  core::AlignedVector<RbValue> ready_lane_value_;
-  core::AlignedVector<std::uint16_t> echo_count_;
-  core::AlignedVector<std::uint16_t> ready_count_;
+  /// Echo and ready votes, row = slot: one counted vote per sender per
+  /// instance per stage (the gate that makes the lanes exhaustion-proof)
+  /// and lanes_ first-come value lanes.
+  core::VoteTally<RbValue> echo_;
+  core::VoteTally<RbValue> ready_;
   /// retired_below_[origin] = smallest tag of `origin` still accepted.
   std::vector<std::uint64_t> retired_below_;
   /// Live instances per origin, against max_live_per_origin_.

@@ -57,14 +57,14 @@ core::EchoProtocolMsg echo(ProcessId origin, Value v, Phase t) {
 }
 
 /// One full phase of traffic: every origin's initial, a full echo matrix
-/// (current phase), plus one deferred echo per origin for the next phase,
-/// then the phase advance with its replay.
+/// (current phase), plus one early echo per origin for the next phase,
+/// then the phase advance.
 void drive_phase(core::EchoEngine& e, std::uint32_t n, Phase t) {
   for (ProcessId origin = 0; origin < n; ++origin) {
-    (void)e.handle(origin, initial(origin, Value::one, t), t);
+    (void)e.handle(origin, initial(origin, Value::one, t));
     for (ProcessId echoer = 0; echoer < n; ++echoer) {
-      (void)e.handle(echoer, echo(origin, Value::one, t), t);
-      (void)e.handle(echoer, echo(origin, Value::zero, t + 1), t);  // deferred
+      (void)e.handle(echoer, echo(origin, Value::one, t));
+      (void)e.handle(echoer, echo(origin, Value::zero, t + 1));  // early
     }
   }
   (void)e.advance(t + 1);
@@ -75,7 +75,7 @@ TEST(EchoAllocation, EchoEngineSteadyStateIsAllocationFree) {
   core::EchoEngine e(core::ConsensusParams{kN, 10});
   Phase t = 0;
   for (; t < 4; ++t) {
-    drive_phase(e, kN, t);  // warm: rings and replay buffer reach capacity
+    drive_phase(e, kN, t);  // warm: lists and result buffer reach capacity
   }
   const std::uint64_t before = g_allocations.load();
   for (; t < 40; ++t) {

@@ -47,12 +47,12 @@ void expect_exact_threshold(ConsensusParams params) {
   EchoEngine e(params);
   const ProcessId origin = params.n - 1;
   for (std::uint32_t echoer = 0; echoer + 1 < threshold; ++echoer) {
-    const auto out = e.handle(echoer, echo(origin, Value::one, 0), 0);
+    const auto out = e.handle(echoer, echo(origin, Value::one, 0));
     EXPECT_FALSE(out.accepted.has_value())
         << "accepted at " << echoer + 1 << " echoes, threshold " << threshold
         << " (n=" << params.n << ", k=" << params.k << ")";
   }
-  const auto out = e.handle(threshold - 1, echo(origin, Value::one, 0), 0);
+  const auto out = e.handle(threshold - 1, echo(origin, Value::one, 0));
   ASSERT_TRUE(out.accepted.has_value())
       << "no acceptance at the exact threshold " << threshold << " (n="
       << params.n << ", k=" << params.k << ")";
@@ -91,17 +91,17 @@ TEST(QuorumBoundary, DuplicateEchoNeverAdvancesTally) {
   constexpr ConsensusParams kParams{7, 2};  // threshold 5
   EchoEngine e(kParams);
   for (ProcessId echoer = 0; echoer < 4; ++echoer) {
-    EXPECT_FALSE(e.handle(echoer, echo(3, Value::one, 0), 0)
+    EXPECT_FALSE(e.handle(echoer, echo(3, Value::one, 0))
                      .accepted.has_value());
   }
   for (int repeat = 0; repeat < 10; ++repeat) {
-    EXPECT_FALSE(e.handle(0, echo(3, Value::one, 0), 0).accepted.has_value());
-    EXPECT_FALSE(e.handle(0, echo(3, Value::zero, 0), 0).accepted.has_value());
+    EXPECT_FALSE(e.handle(0, echo(3, Value::one, 0)).accepted.has_value());
+    EXPECT_FALSE(e.handle(0, echo(3, Value::zero, 0)).accepted.has_value());
   }
   EXPECT_EQ(e.echo_count(3, Value::one), 4u);
   EXPECT_EQ(e.echo_count(3, Value::zero), 0u);
   // A genuinely new echoer still completes the quorum.
-  EXPECT_TRUE(e.handle(4, echo(3, Value::one, 0), 0).accepted.has_value());
+  EXPECT_TRUE(e.handle(4, echo(3, Value::one, 0)).accepted.has_value());
 }
 
 TEST(QuorumBoundary, DuplicateDeferredEchoNeverAdvancesFuturePhase) {
@@ -109,10 +109,10 @@ TEST(QuorumBoundary, DuplicateDeferredEchoNeverAdvancesFuturePhase) {
   EchoEngine e(kParams);
   // Echoers 0..3 defer for phase 1; echoer 0 spams duplicates.
   for (ProcessId echoer = 0; echoer < 4; ++echoer) {
-    (void)e.handle(echoer, echo(3, Value::one, 1), 0);
+    (void)e.handle(echoer, echo(3, Value::one, 1));
   }
   for (int repeat = 0; repeat < 10; ++repeat) {
-    (void)e.handle(0, echo(3, Value::one, 1), 0);
+    (void)e.handle(0, echo(3, Value::one, 1));
   }
   EXPECT_EQ(e.deferred_count(), 4u);
   const auto accepts = e.advance(1);
@@ -130,7 +130,7 @@ TEST(QuorumBoundary, ThresholdMatchesParamsHelperNotOneLess) {
     const std::uint32_t threshold = p.echo_acceptance_threshold();
     std::uint32_t fired_at = 0;
     for (std::uint32_t echoer = 0; echoer < p.n; ++echoer) {
-      if (e.handle(echoer, echo(0, Value::zero, 0), 0).accepted.has_value()) {
+      if (e.handle(echoer, echo(0, Value::zero, 0)).accepted.has_value()) {
         fired_at = echoer + 1;
         break;
       }

@@ -3,8 +3,10 @@
 // bulk operation in core/quorum.hpp works on whole row spans, so these
 // sizes are exactly where a words-per-row or tail-handling bug would land.
 // Also pins the layout guards: BitRows::copy_rows_from rejects mismatched
-// geometry outright, and the tally-lane allocator and padding keep lanes
-// on whole cache lines.
+// geometry outright, and the lane allocator starts arrays on a cache line.
+// Then VoteTally, the one vote counter on top of BitRows: one vote per
+// sender per row, first-come lanes, overflow, reset and row-preserving
+// growth.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/types.hpp"
 #include "core/quorum.hpp"
 
 namespace rcp::core {
@@ -100,12 +103,102 @@ TEST(QuorumWordEdge, AlignedVectorStartsOnCacheLine) {
             0u);
 }
 
-TEST(QuorumWordEdge, PaddedToCacheLineRoundsUpToWholeLines) {
-  EXPECT_EQ(padded_to_cache_line<std::uint32_t>(1), 16u);
-  EXPECT_EQ(padded_to_cache_line<std::uint32_t>(16), 16u);
-  EXPECT_EQ(padded_to_cache_line<std::uint32_t>(17), 32u);
-  EXPECT_EQ(padded_to_cache_line<std::uint32_t>(301), 304u);
-  EXPECT_EQ(padded_to_cache_line<std::uint64_t>(9), 16u);
+TEST(VoteTally, OneCountedVotePerSenderPerRow) {
+  VoteTally<std::uint64_t> tally(3, 7, 2);
+  const Vote first = tally.vote(1, 4, 9);
+  EXPECT_EQ(first.status, VoteStatus::counted);
+  EXPECT_EQ(first.count, 1u);
+  // The same sender again, with the same or another value: a duplicate.
+  EXPECT_EQ(tally.vote(1, 4, 9).status, VoteStatus::duplicate);
+  EXPECT_EQ(tally.vote(1, 4, 5).status, VoteStatus::duplicate);
+  EXPECT_EQ(tally.vote(1, 4, 5).count, 0u);
+  EXPECT_EQ(tally.vote(1, 0, 9).count, 2u);
+  EXPECT_EQ(tally.vote(1, 6, 5).count, 1u);
+  EXPECT_EQ(tally.count(1, 9), 2u);
+  EXPECT_EQ(tally.count(1, 5), 1u);
+  EXPECT_EQ(tally.count(1, 7), 0u);
+  EXPECT_TRUE(tally.voted(1, 4));
+  EXPECT_FALSE(tally.voted(1, 3));
+  // Rows are independent: the same sender votes afresh in row 0.
+  EXPECT_FALSE(tally.voted(0, 4));
+  EXPECT_EQ(tally.vote(0, 4, 5).count, 1u);
+  EXPECT_EQ(tally.count(2, 9), 0u);
+  EXPECT_EQ(tally.voted_total(), 4u);
+}
+
+TEST(VoteTally, OverflowGatesTheSenderWithoutCounting) {
+  VoteTally<std::uint64_t> tally(1, 7, 2);
+  EXPECT_EQ(tally.vote(0, 0, 10).count, 1u);
+  EXPECT_EQ(tally.vote(0, 1, 20).count, 1u);
+  const Vote third = tally.vote(0, 2, 30);  // both lanes are taken
+  EXPECT_EQ(third.status, VoteStatus::overflow);
+  EXPECT_EQ(third.count, 0u);
+  EXPECT_EQ(tally.count(0, 30), 0u);
+  EXPECT_TRUE(tally.voted(0, 2));
+  EXPECT_EQ(tally.vote(0, 2, 10).status, VoteStatus::duplicate);
+  // A value that owns a lane keeps counting.
+  EXPECT_EQ(tally.vote(0, 3, 20).count, 2u);
+
+  // Past the first two lanes: the third value claims lane 2, a fourth
+  // overflows, and the third keeps counting.
+  VoteTally<std::uint64_t> wide(1, 7, 3);
+  for (const std::uint64_t value : {10u, 20u, 30u}) {
+    EXPECT_EQ(wide.vote(0, static_cast<std::uint32_t>(value / 10), value).count,
+              1u);
+  }
+  EXPECT_EQ(wide.vote(0, 4, 40).status, VoteStatus::overflow);
+  EXPECT_EQ(wide.vote(0, 5, 30).count, 2u);
+  EXPECT_EQ(wide.count(0, 30), 2u);
+  EXPECT_EQ(wide.count(0, 40), 0u);
+}
+
+TEST(VoteTally, ResetRowsFreesGatesAndLanes) {
+  VoteTally<Value> tally(4, 65, 2);
+  for (std::uint32_t row = 0; row < 4; ++row) {
+    EXPECT_EQ(tally.vote(row, 64, Value::one).count, 1u);
+    EXPECT_EQ(tally.vote(row, 0, Value::zero).count, 1u);
+  }
+  tally.reset_rows(1, 2);
+  for (const std::uint32_t row : {1u, 2u}) {
+    EXPECT_FALSE(tally.voted(row, 64));
+    EXPECT_EQ(tally.count(row, Value::one), 0u);
+    // The freed lanes are claimed first-come again.
+    EXPECT_EQ(tally.vote(row, 64, Value::zero).count, 1u);
+    EXPECT_EQ(tally.count(row, Value::one), 0u);
+  }
+  for (const std::uint32_t row : {0u, 3u}) {
+    EXPECT_TRUE(tally.voted(row, 64));
+    EXPECT_EQ(tally.count(row, Value::one), 1u);
+  }
+}
+
+TEST(VoteTally, GrowKeepsEveryRowAtWordBoundaries) {
+  for (const std::uint32_t n : kBoundaryN) {
+    VoteTally<std::uint64_t> tally(2, n, 3);
+    (void)tally.vote(0, 0, 7);
+    (void)tally.vote(0, n - 1, 7);
+    (void)tally.vote(1, n / 2, 8);
+    tally.grow(8);
+    EXPECT_EQ(tally.rows(), 8u) << "n=" << n;
+    EXPECT_EQ(tally.count(0, 7), 2u) << "n=" << n;
+    EXPECT_EQ(tally.count(1, 8), 1u) << "n=" << n;
+    EXPECT_TRUE(tally.voted(0, n - 1)) << "n=" << n;
+    EXPECT_EQ(tally.vote(1, n / 2, 8).status, VoteStatus::duplicate)
+        << "n=" << n;
+    EXPECT_EQ(tally.voted_total(), 3u) << "n=" << n;
+    EXPECT_EQ(tally.vote(7, n - 1, 9).count, 1u) << "n=" << n;
+  }
+}
+
+TEST(VoteTally, RejectsVotersBeyondCountWidth) {
+  // Counts are 16-bit: a population that could overflow them is refused
+  // at construction, not corrupted at runtime.
+  EXPECT_THROW(VoteTally<std::uint64_t>(1, 0x10000, 2), PreconditionError);
+  EXPECT_THROW(VoteTally<std::uint64_t>(1, 0, 2), PreconditionError);
+  EXPECT_THROW(VoteTally<std::uint64_t>(1, 7, 1), PreconditionError);
+  const VoteTally<std::uint64_t> widest(1, VoteTally<std::uint64_t>::kMaxVoters,
+                                        2);
+  EXPECT_EQ(widest.rows(), 1u);
 }
 
 }  // namespace

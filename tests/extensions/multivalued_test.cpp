@@ -10,6 +10,7 @@
 
 #include "adversary/byzantine.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sim/simulation.hpp"
 
 namespace rcp {
@@ -205,6 +206,79 @@ TEST(ProposalRbUnit, EchoOncePerEchoerEvenAcrossVersions) {
     ready_seen |= !out.to_broadcast.empty();
   }
   EXPECT_TRUE(ready_seen);
+}
+
+TEST(ProposalRbUnit, HostileBytesAreProcessedOrRejected) {
+  // Every input is either processed or rejected with DecodeError (any other
+  // exception fails the test), and however the bytes are mangled, a body
+  // is stored only for a counted vote: at most 2n + 1 per origin.
+  constexpr std::uint32_t kN = 7;
+  ProposalRb rb({kN, 2});
+  ProposalRb echo_back({kN, 2});  // re-reads every message rb emits
+  std::size_t rejected = 0;
+  const auto feed = [&](ProcessId sender, const Bytes& input) {
+    ProposalRb::Outcome out;
+    try {
+      out = rb.handle(sender, input);
+    } catch (const DecodeError&) {
+      ++rejected;
+      return;
+    }
+    for (const Bytes& msg : out.to_broadcast) {
+      EXPECT_NO_THROW((void)echo_back.handle(sender, msg));
+    }
+  };
+
+  Rng rng(50);
+  for (int trial = 0; trial < 5000; ++trial) {
+    Bytes junk(rng.below(24));
+    for (auto& b : junk) {
+      b = static_cast<std::byte>(rng.below(256));
+    }
+    if (!junk.empty() && rng.bernoulli(0.75)) {
+      junk[0] = static_cast<std::byte>(50 + rng.below(3));  // reach the decoder
+    }
+    feed(static_cast<ProcessId>(rng.below(kN)), junk);
+  }
+
+  // Near-valid inputs: each valid 50/51/52 message with one byte replaced
+  // by each of its 256 values, truncated to every shorter length, and
+  // extended by one byte.
+  std::size_t inputs = 0;
+  for (const int tag : {50, 51, 52}) {
+    for (const ProcessId origin : {0u, 3u, 6u}) {
+      for (const char* text : {"", "a", "proposal"}) {
+        Bytes valid = ProposalRb::encode_initial(origin, bytes_of(text));
+        valid[0] = static_cast<std::byte>(tag);
+        // Initials count only from their origin; votes from any sender.
+        const auto sender = [&] {
+          return tag == 50 ? origin : static_cast<ProcessId>(inputs % kN);
+        };
+        for (std::size_t i = 0; i < valid.size(); ++i) {
+          for (int v = 0; v < 256; ++v, ++inputs) {
+            Bytes mutated = valid;
+            mutated[i] = static_cast<std::byte>(v);
+            feed(sender(), mutated);
+          }
+        }
+        for (std::size_t len = 0; len < valid.size(); ++len, ++inputs) {
+          feed(sender(), Bytes(valid.begin(), valid.begin() + len));
+        }
+        for (const int extra : {0x00, 0x01, 0xff}) {
+          Bytes longer = valid;
+          longer.push_back(static_cast<std::byte>(extra));
+          feed(sender(), longer);
+          ++inputs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  for (ProcessId origin = 0; origin < kN; ++origin) {
+    EXPECT_LE(rb.interned_count(origin), 2u * kN + 1) << "origin " << origin;
+  }
+  EXPECT_GT(rb.interned_count(3), 1u);  // mutated bodies did get counted
+  EXPECT_EQ(rb.interned_count(kN), 0u);
 }
 
 }  // namespace
