@@ -92,7 +92,8 @@ struct RunReport {
   double frames_per_op = 0;
   std::uint64_t batches = 0;
   std::uint64_t batched_msgs = 0;
-  std::uint64_t unbatched_msgs = 0;
+  /// Own ops per own block originated (ops_submitted / blocks_originated).
+  double ops_per_block = 0;
   /// Converged, and every replica matches the reference store.
   bool ok = false;
 };
@@ -200,7 +201,7 @@ RunReport run_sim(const Options& opt) {
   report.frames_per_op = r.frames_per_op;
   report.batches = r.batches;
   report.batched_msgs = r.batched_msgs;
-  report.unbatched_msgs = r.unbatched_msgs;
+  report.ops_per_block = r.ops_per_block;
   report.ok = r.all_ok;
   return report;
 }
@@ -348,13 +349,20 @@ RunReport run_net(const Options& opt) {
   const std::uint64_t want = service::correct_stream_digest(
       service::reference_store(workload), workload.correct, opt.shards);
   bool digests_ok = true;
+  std::uint64_t submitted = 0;
+  std::uint64_t blocks = 0;
   for (ProcessId p = 0; p < opt.n; ++p) {
     const std::uint64_t got = service::correct_stream_digest(
         replicas[p]->store(), workload.correct, opt.shards);
     digests_ok = digests_ok && got == want;
     report.batches += replicas[p]->batcher_stats().batches;
     report.batched_msgs += replicas[p]->batcher_stats().batched_msgs;
-    report.unbatched_msgs += replicas[p]->batcher_stats().unbatched_msgs;
+    submitted += replicas[p]->counters().ops_submitted;
+    blocks += replicas[p]->counters().blocks_originated;
+  }
+  if (blocks > 0) {
+    report.ops_per_block =
+        static_cast<double>(submitted) / static_cast<double>(blocks);
   }
   report.ok = result.all_correct_decided && digests_ok;
   return report;
@@ -367,7 +375,7 @@ void print_report(const Options& opt, const RunReport& r) {
             << " shards=" << opt.shards << " ops=" << opt.ops
             << " window=" << opt.window << " seed=" << opt.seed << "\n";
   Table table({"run", "ops", "wall_s", "ops/sec", "p50_ms", "p99_ms",
-               "p999_ms", "frames/op", "batches", "ok"});
+               "p999_ms", "frames/op", "batches", "ops/block", "ok"});
   table.row()
       .cell(r.label)
       .cell(r.ops)
@@ -378,6 +386,7 @@ void print_report(const Options& opt, const RunReport& r) {
       .cell(r.p999_ms, 3)
       .cell(r.frames_per_op, 2)
       .cell(r.batches)
+      .cell(r.ops_per_block, 2)
       .cell(r.ok ? "yes" : "NO");
   table.print(std::cout);
 }
@@ -415,7 +424,7 @@ int write_json(const Options& opt, const RunReport& r) {
   j.field("frames_per_op", r.frames_per_op);
   j.field("batches", r.batches);
   j.field("batched_msgs", r.batched_msgs);
-  j.field("unbatched_msgs", r.unbatched_msgs);
+  j.field("ops_per_block", r.ops_per_block);
   j.field("ok", r.ok);
   j.end_object();
   j.end_array();

@@ -141,7 +141,12 @@ int main(int argc, char** argv) {
               << "  messages=" << r.messages_delivered << "\n"
               << "batching : batches=" << r.batches
               << "  batched msgs=" << r.batched_msgs
-              << "  unbatched msgs=" << r.unbatched_msgs << "\n"
+              << "  ops_per_block="
+              << (r.blocks_originated > 0
+                      ? static_cast<double>(r.ops_submitted) /
+                            static_cast<double>(r.blocks_originated)
+                      : 0.0)
+              << "\n"
               << "defense  : decode errors=" << r.decode_errors
               << "  engine drops=" << r.engine_drops
               << "  admission drops=" << r.admission_drops << "\n"

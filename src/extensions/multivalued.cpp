@@ -1,7 +1,5 @@
 #include "extensions/multivalued.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace rcp::ext {
@@ -19,14 +17,15 @@ struct PropMsg {
   std::span<const std::byte> body;
 };
 
-Bytes encode_prop(RbxMsg::Kind kind, ProcessId origin, const Bytes& body) {
+Bytes encode_prop(RbxMsg::Kind kind, ProcessId origin,
+                  std::span<const std::byte> body) {
   ByteWriter w(9 + body.size());
   w.u8(static_cast<std::uint8_t>(kPropTagBase +
                                  static_cast<std::uint8_t>(kind)))
       .u32(origin)
       .u32(static_cast<std::uint32_t>(body.size()));
   Bytes out = std::move(w).take();
-  out.insert(out.end(), body.begin(), body.end());
+  out.append(body.data(), body.size());
   return out;
 }
 
@@ -59,12 +58,10 @@ Bytes wrap_slot(std::uint64_t slot, const Bytes& inner) {
 // ---- ProposalRb ------------------------------------------------------------
 
 ProposalRb::ProposalRb(core::ConsensusParams params)
-    : n_(params.n),
-      engine_(params, params.n, kRbValueAny),
-      bodies_(params.n) {}
+    : n_(params.n), engine_(params, params.n) {}
 
 Bytes ProposalRb::encode_initial(ProcessId self, const Bytes& proposal) {
-  return encode_prop(RbxMsg::Kind::initial, self, proposal);
+  return encode_prop(RbxMsg::Kind::initial, self, proposal.span());
 }
 
 bool ProposalRb::is_proposal_msg(const Bytes& payload) {
@@ -75,51 +72,36 @@ bool ProposalRb::is_proposal_msg(const Bytes& payload) {
   return tag >= kPropTagBase && tag <= kPropTagBase + 2;
 }
 
-RbValue ProposalRb::intern(ProcessId origin, std::span<const std::byte> body) {
-  std::vector<Bytes>& table = bodies_[origin];
-  for (std::size_t v = 0; v < table.size(); ++v) {
-    if (std::ranges::equal(table[v].span(), body)) {
-      return v;
-    }
-  }
-  table.emplace_back(body);
-  return table.size() - 1;
-}
-
 ProposalRb::Outcome ProposalRb::handle(ProcessId sender, const Bytes& payload) {
   Outcome out;
   const PropMsg msg = decode_prop(payload);
-  // Only votes the engine will count reach the body table: the origin's
-  // first initial, and each sender's first echo and first ready. Anything
-  // else (an origin outside the system, a forged or repeated initial, a
-  // second echo/ready) is dropped here before it can store a body.
-  if (msg.origin >= n_ || sender >= n_ ||
-      (msg.kind == RbxMsg::Kind::initial && sender != msg.origin) ||
-      engine_.voted(sender, msg.origin, 0, msg.kind)) {
-    return out;
+  if (sender >= n_) {
+    return out;  // not a process: the transport never stamps one
   }
+  // The engine interns a body only for a vote it counts, so an origin
+  // outside the system, a forged or repeated initial and a second
+  // echo/ready store nothing.
   const RbEngine::Outcome step = engine_.handle(
-      sender, RbxMsg{.kind = msg.kind,
-                     .origin = msg.origin,
-                     .tag = 0,
-                     .value = intern(msg.origin, msg.body)});
-  const std::vector<Bytes>& table = bodies_[msg.origin];
+      sender, RbxBodyMsg{.kind = msg.kind,
+                         .origin = msg.origin,
+                         .tag = 0,
+                         .body = msg.body});
   for (const RbxMsg& m : step.to_broadcast) {
-    out.to_broadcast.push_back(encode_prop(m.kind, m.origin, table[m.value]));
+    out.to_broadcast.push_back(encode_prop(m.kind, m.origin, step.body));
   }
   if (step.delivered.has_value()) {
     ++delivered_count_;
-    out.delivered = std::make_pair(msg.origin, table[step.delivered->value]);
+    out.delivered = std::make_pair(msg.origin, Bytes(step.body));
   }
   return out;
 }
 
 std::optional<Bytes> ProposalRb::delivered(ProcessId origin) const {
-  const auto v = engine_.delivered(origin, 0);
-  if (!v.has_value()) {
+  const auto body = engine_.delivered_body(origin, 0);
+  if (!body.has_value()) {
     return std::nullopt;
   }
-  return bodies_[origin][*v];
+  return Bytes(*body);
 }
 
 // ---- MultiValuedConsensus ---------------------------------------------------

@@ -40,7 +40,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -54,11 +53,11 @@
 namespace rcp::ext {
 
 /// Reliable broadcast of one arbitrary-bytes proposal per origin: one
-/// RbEngine instance per origin (tag 0) whose values are indices into a
-/// per-origin table of interned proposal bodies. Messages carry the full
-/// bytes, so equal index means equal bytes, with no hashing. A body is
-/// interned only for a vote the engine will count, so each origin holds at
-/// most 2n + 1 bodies and an origin >= n never creates state.
+/// RbEngine body instance per origin (tag 0), which interns the proposal
+/// bodies its votes carry. Messages carry the full bytes, and the engine
+/// stores a body only for a vote it counts, so each origin holds at most
+/// 1 + 2 * lane_count() <= 2n + 1 bodies and an origin >= n never creates
+/// state.
 class ProposalRb {
  public:
   explicit ProposalRb(core::ConsensusParams params);
@@ -85,19 +84,13 @@ class ProposalRb {
     return delivered_count_;
   }
   /// Distinct proposal bodies interned for `origin` (at most 2n + 1).
-  [[nodiscard]] std::size_t interned_count(ProcessId origin) const noexcept {
-    return origin < bodies_.size() ? bodies_[origin].size() : 0;
+  [[nodiscard]] std::size_t interned_count(ProcessId origin) const {
+    return engine_.body_count(origin, 0);
   }
 
  private:
-  /// The table index of `body` for `origin`, appending it on first sight.
-  [[nodiscard]] RbValue intern(ProcessId origin,
-                               std::span<const std::byte> body);
-
   std::uint32_t n_;
   RbEngine engine_;
-  /// bodies_[origin][v]: the proposal body the engine knows as value v.
-  std::vector<std::vector<Bytes>> bodies_;
   std::size_t delivered_count_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <span>
 #include <utility>
 
@@ -56,20 +57,49 @@ bool RbxBatch::is_batch(const Bytes& payload) noexcept {
   return !s.empty() && static_cast<std::uint8_t>(s[0]) == kTagByte;
 }
 
-Bytes RbxBatch::encode(std::span<const RbxMsg> msgs) {
-  RCP_INVARIANT(!msgs.empty() && msgs.size() <= kMaxMessages,
-                "RbxBatch::encode: 1..kMaxMessages messages");
-  ByteWriter w(kHeaderSize + msgs.size() * kEntrySize);
-  w.u8(kTagByte).u32(static_cast<std::uint32_t>(msgs.size()));
-  for (const RbxMsg& m : msgs) {
-    w.u8(static_cast<std::uint8_t>(m.kind)).u32(m.origin).u64(m.tag).u64(
-        m.value);
-  }
-  return std::move(w).take();
+void RbxBatch::put_header(std::byte* out, std::uint32_t count) noexcept {
+  out[0] = std::byte{kTagByte};
+  store_le(out + 1, count);
 }
 
-RbxBatch::View::View(const Bytes& payload, RbValue max_value) {
-  ByteReader r(payload);
+void RbxBatch::put_entry(std::byte* out, const RbxBodyMsg& m) noexcept {
+  out[0] = static_cast<std::byte>(m.kind);
+  store_le(out + 1, m.origin);
+  store_le(out + 5, m.tag);
+  store_le(out + 13, static_cast<std::uint16_t>(m.body.size() / 8));
+  std::memcpy(out + kEntryHeaderSize, m.body.data(), m.body.size());
+}
+
+Bytes RbxBatch::encode(std::span<const RbxBodyMsg> msgs) {
+  RCP_INVARIANT(!msgs.empty() && msgs.size() <= kMaxMessages,
+                "RbxBatch::encode: 1..kMaxMessages messages");
+  std::size_t size = kHeaderSize;
+  for (const RbxBodyMsg& m : msgs) {
+    RCP_INVARIANT(!m.body.empty() && m.body.size() % 8 == 0 &&
+                      m.body.size() / 8 <= kMaxBlockWords,
+                  "RbxBatch::encode: 1..kMaxBlockWords whole words");
+    size += entry_size(m.body);
+  }
+  RCP_INVARIANT(size <= kMaxBytes, "RbxBatch::encode: at most kMaxBytes");
+  Bytes out(size);
+  std::byte* at = out.data();
+  put_header(at, static_cast<std::uint32_t>(msgs.size()));
+  at += kHeaderSize;
+  for (const RbxBodyMsg& m : msgs) {
+    put_entry(at, m);
+    at += entry_size(m.body);
+  }
+  return out;
+}
+
+RbxBatch::View::View(const Bytes& payload, std::size_t max_block_words) {
+  RCP_INVARIANT(max_block_words <= kMaxBlockWords,
+                "RbxBatch::View: block bound above kMaxBlockWords");
+  const std::span<const std::byte> bytes = payload.span();
+  if (bytes.size() > kMaxBytes) {
+    throw DecodeError("batch over the size cap");
+  }
+  ByteReader r(bytes);
   if (r.u8() != kTagByte) {
     throw DecodeError("not a reliable-broadcast batch");
   }
@@ -77,20 +107,47 @@ RbxBatch::View::View(const Bytes& payload, RbValue max_value) {
   if (count == 0 || count > kMaxMessages) {
     throw DecodeError("batch count out of range");
   }
-  if (r.remaining() != static_cast<std::size_t>(count) * kEntrySize) {
-    throw DecodeError("batch size disagrees with count");
-  }
-  entries_ = payload.span().data() + kHeaderSize;
-  count_ = count;
-  for (std::size_t i = 0; i < count_; ++i) {
-    const RbxMsg msg = (*this)[i];
-    if (msg.kind > RbxMsg::Kind::ready) {
+  // Walk every entry's header before any is read: a bad kind, a block
+  // size out of range or a length that overruns the payload anywhere
+  // rejects the whole batch.
+  const std::byte* at = bytes.data() + kHeaderSize;
+  const std::byte* const end = bytes.data() + bytes.size();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (static_cast<std::size_t>(end - at) < kEntryHeaderSize) {
+      throw DecodeError("batch entry truncated");
+    }
+    if (static_cast<std::uint8_t>(at[0]) >
+        static_cast<std::uint8_t>(RbxMsg::Kind::ready)) {
       throw DecodeError("batch entry kind out of range");
     }
-    if (msg.value > max_value) {
-      throw DecodeError("payload field out of range");
+    const std::size_t words = load_le<std::uint16_t>(at + 13);
+    if (words == 0 || words > max_block_words) {
+      throw DecodeError("batch entry block size out of range");
     }
+    if (static_cast<std::size_t>(end - at) < kEntryHeaderSize + words * 8) {
+      throw DecodeError("batch entry truncated");
+    }
+    at += kEntryHeaderSize + words * 8;
   }
+  if (at != end) {
+    throw DecodeError("batch size disagrees with count");
+  }
+  first_ = bytes.data() + kHeaderSize;
+  end_ = end;
+  count_ = count;
+}
+
+RbxBodyMsg RbxBatch::View::Iterator::operator*() const noexcept {
+  const std::size_t words = load_le<std::uint16_t>(at_ + 13);
+  return RbxBodyMsg{.kind = static_cast<RbxMsg::Kind>(at_[0]),
+                    .origin = load_le<std::uint32_t>(at_ + 1),
+                    .tag = load_le<std::uint64_t>(at_ + 5),
+                    .body = {at_ + kEntryHeaderSize, words * 8}};
+}
+
+RbxBatch::View::Iterator& RbxBatch::View::Iterator::operator++() noexcept {
+  at_ += kEntryHeaderSize + std::size_t{load_le<std::uint16_t>(at_ + 13)} * 8;
+  return *this;
 }
 
 RbEngine::RbEngine(core::ConsensusParams params, std::uint32_t capacity_hint,
@@ -112,6 +169,7 @@ RbEngine::RbEngine(core::ConsensusParams params, std::uint32_t capacity_hint,
   echo_ = core::VoteTally<RbValue>(cap, params_.n, lanes_);
   ready_ = core::VoteTally<RbValue>(cap, params_.n, lanes_);
   slots_ = std::vector<Instance>(cap);
+  bodies_ = std::vector<std::vector<std::byte>>(cap);
   bucket_heads_ = std::vector<std::uint32_t>(2ULL * cap, kNil);
   bucket_mask_ = 2ULL * cap - 1;
   retired_below_ = std::vector<std::uint64_t>(params_.n, 0);
@@ -206,6 +264,7 @@ std::uint32_t RbEngine::obtain(ProcessId origin, std::uint64_t tag,
   inst.live = true;
   inst.anchored = anchored;
   inst.delivered_value = 0;
+  inst.body_count = 0;
   if (!anchored) {
     ++unanchored_per_origin_[origin];
   }
@@ -250,6 +309,7 @@ void RbEngine::grow() {
   std::vector<Instance> new_slots(new_cap);
   std::move(slots_.begin(), slots_.end(), new_slots.begin());
   slots_ = std::move(new_slots);
+  bodies_.resize(new_cap);  // rcp-lint: allow(hot-alloc) cold growth
   echo_.grow(new_cap);
   ready_.grow(new_cap);
   // Rebuild the bucket chains and the free list over the doubled pool.
@@ -274,6 +334,81 @@ RbxMsg RbEngine::start(ProcessId self, std::uint64_t tag, RbValue value) {
       .kind = RbxMsg::Kind::initial, .origin = self, .tag = tag, .value = value};
 }
 
+std::uint32_t RbEngine::admit(ProcessId sender, RbxMsg::Kind kind,
+                              ProcessId origin, std::uint64_t tag) {
+  if (tag < retired_below_[origin]) {
+    ++stats_.dropped_retired;
+    return kNil;
+  }
+  // Only the origin's own initial anchors (identity-checked again in
+  // step() before any state change; a forged initial allocates at most an
+  // unanchored phantom-candidate slot, same as any echo).
+  const bool anchors = kind == RbxMsg::Kind::initial && sender == origin;
+  const std::uint32_t slot = obtain(origin, tag, anchors);
+  if (slot == kNil) {
+    ++stats_.dropped_origin_flood;
+  }
+  return slot;
+}
+
+bool RbEngine::step(std::uint32_t slot, ProcessId sender, RbxMsg::Kind kind,
+                    RbValue value, Outcome& out) {
+  Instance& inst = slots_[slot];
+  switch (kind) {
+    case RbxMsg::Kind::initial: {
+      // Authenticated identity: only the origin itself may open its
+      // instance, and only its first initial is echoed.
+      if (sender != inst.origin || inst.echoed) {
+        return false;
+      }
+      inst.echoed = true;
+      out.to_broadcast.push(RbxMsg{.kind = RbxMsg::Kind::echo,
+                                   .origin = inst.origin,
+                                   .tag = inst.tag,
+                                   .value = value});
+      return true;
+    }
+    case RbxMsg::Kind::echo:
+    case RbxMsg::Kind::ready: {
+      // One counted vote per sender per instance and stage: a correct
+      // process sends exactly one echo and at most one ready, so a second
+      // (same value or not) is Byzantine noise — and a sender can
+      // therefore never claim more than one value lane per stage.
+      const bool is_echo = kind == RbxMsg::Kind::echo;
+      const core::Vote vote =
+          (is_echo ? echo_ : ready_).vote(slot, sender, value);
+      if (vote.status == core::VoteStatus::duplicate) {
+        ++stats_.dropped_sender_dup;
+        return false;
+      }
+      if (vote.status == core::VoteStatus::overflow) {
+        ++stats_.dropped_slot_overflow;
+        return false;
+      }
+      // An echo quorum, or k + 1 readies (one from a correct process),
+      // sends our one READY.
+      if (!inst.has_ready_sent &&
+          vote.count >= (is_echo ? params_.echo_acceptance_threshold()
+                                 : params_.ready_amplification_threshold())) {
+        inst.has_ready_sent = true;
+        out.to_broadcast.push(RbxMsg{.kind = RbxMsg::Kind::ready,
+                                     .origin = inst.origin,
+                                     .tag = inst.tag,
+                                     .value = value});
+      }
+      if (!is_echo && vote.count >= params_.ready_delivery_threshold() &&
+          !inst.has_delivered) {
+        inst.has_delivered = true;
+        inst.delivered_value = value;
+        out.delivered =
+            Delivery{.origin = inst.origin, .tag = inst.tag, .value = value};
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
 RbEngine::Outcome RbEngine::handle(ProcessId sender, const RbxMsg& msg) {
   Outcome out;
   ++stats_.handled;
@@ -288,74 +423,72 @@ RbEngine::Outcome RbEngine::handle(ProcessId sender, const RbxMsg& msg) {
     ++stats_.dropped_value_range;
     return out;
   }
-  if (msg.tag < retired_below_[msg.origin]) {
-    ++stats_.dropped_retired;
-    return out;
-  }
-  // Only the origin's own initial anchors (identity-checked again below
-  // before any state change; a forged initial allocates at most an
-  // unanchored phantom-candidate slot, same as any echo).
-  const bool anchors =
-      msg.kind == RbxMsg::Kind::initial && sender == msg.origin;
-  const std::uint32_t slot = obtain(msg.origin, msg.tag, anchors);
-  if (slot == kNil) {
-    ++stats_.dropped_origin_flood;
-    return out;
-  }
-  Instance& inst = slots_[slot];
-  switch (msg.kind) {
-    case RbxMsg::Kind::initial: {
-      // Authenticated identity: only the origin itself may open its
-      // instance, and only its first initial is echoed.
-      if (sender != msg.origin || inst.echoed) {
-        return out;
-      }
-      inst.echoed = true;
-      out.to_broadcast.push(RbxMsg{.kind = RbxMsg::Kind::echo,
-                                   .origin = msg.origin,
-                                   .tag = msg.tag,
-                                   .value = msg.value});
-      return out;
-    }
-    case RbxMsg::Kind::echo:
-    case RbxMsg::Kind::ready: {
-      // One counted vote per sender per instance and stage: a correct
-      // process sends exactly one echo and at most one ready, so a second
-      // (same value or not) is Byzantine noise — and a sender can
-      // therefore never claim more than one value lane per stage.
-      const bool is_echo = msg.kind == RbxMsg::Kind::echo;
-      const core::Vote vote =
-          (is_echo ? echo_ : ready_).vote(slot, sender, msg.value);
-      if (vote.status == core::VoteStatus::duplicate) {
-        ++stats_.dropped_sender_dup;
-        return out;
-      }
-      if (vote.status == core::VoteStatus::overflow) {
-        ++stats_.dropped_slot_overflow;
-        return out;
-      }
-      // An echo quorum, or k + 1 readies (one from a correct process),
-      // sends our one READY.
-      if (!inst.has_ready_sent &&
-          vote.count >= (is_echo ? params_.echo_acceptance_threshold()
-                                 : params_.ready_amplification_threshold())) {
-        inst.has_ready_sent = true;
-        out.to_broadcast.push(RbxMsg{.kind = RbxMsg::Kind::ready,
-                                     .origin = msg.origin,
-                                     .tag = msg.tag,
-                                     .value = msg.value});
-      }
-      if (!is_echo && vote.count >= params_.ready_delivery_threshold() &&
-          !inst.has_delivered) {
-        inst.has_delivered = true;
-        inst.delivered_value = msg.value;
-        out.delivered = Delivery{
-            .origin = msg.origin, .tag = msg.tag, .value = msg.value};
-      }
-      return out;
-    }
+  const std::uint32_t slot = admit(sender, msg.kind, msg.origin, msg.tag);
+  if (slot != kNil) {
+    (void)step(slot, sender, msg.kind, msg.value, out);
   }
   return out;
+}
+
+RbEngine::Outcome RbEngine::handle(ProcessId sender, const RbxBodyMsg& msg) {
+  Outcome out;
+  ++stats_.handled;
+  if (msg.origin >= params_.n) {
+    ++stats_.dropped_origin_range;
+    return out;
+  }
+  const std::uint32_t slot = admit(sender, msg.kind, msg.origin, msg.tag);
+  if (slot == kNil) {
+    return out;
+  }
+  // A body seen before votes under its index; a new one votes under the
+  // next index and is stored only if that vote counts, so a repeat, a
+  // forged initial or a vote with no free lane stores nothing.
+  const std::uint32_t known = find_body(slot, msg.body);
+  Instance& inst = slots_[slot];
+  const RbValue value = known != kNil ? known : inst.body_count;
+  if (step(slot, sender, msg.kind, value, out) && known == kNil) {
+    std::vector<std::byte>& arena = bodies_[slot];
+    if (inst.body_count == 0) {
+      arena.clear();
+    }
+    const std::size_t at = arena.size();
+    // One body per counted new value; the arena keeps its capacity across
+    // slot reuse, so a warm slot stores without allocating.
+    arena.resize(at + 4 + msg.body.size());  // rcp-lint: allow(hot-alloc) see above
+    store_le(arena.data() + at, static_cast<std::uint32_t>(msg.body.size()));
+    std::memcpy(arena.data() + at + 4, msg.body.data(), msg.body.size());
+    ++inst.body_count;
+  }
+  if (!out.to_broadcast.empty() || out.delivered.has_value()) {
+    out.body = body_at(slot, value);
+  }
+  return out;
+}
+
+std::uint32_t RbEngine::find_body(
+    std::uint32_t slot, std::span<const std::byte> body) const noexcept {
+  const std::byte* at = bodies_[slot].data();
+  for (std::uint32_t i = 0; i < slots_[slot].body_count; ++i) {
+    const std::uint32_t len = load_le<std::uint32_t>(at);
+    // memcmp, not std::equal: std::byte is no integral type, so the
+    // standard algorithm compares it one byte at a time.
+    if (len == body.size() &&
+        (len == 0 || std::memcmp(body.data(), at + 4, len) == 0)) {
+      return i;
+    }
+    at += 4 + len;
+  }
+  return kNil;
+}
+
+std::span<const std::byte> RbEngine::body_at(std::uint32_t slot,
+                                             RbValue index) const noexcept {
+  const std::byte* at = bodies_[slot].data();
+  for (RbValue i = 0; i < index; ++i) {
+    at += 4 + load_le<std::uint32_t>(at);
+  }
+  return {at + 4, load_le<std::uint32_t>(at)};
 }
 
 std::optional<RbValue> RbEngine::delivered(ProcessId origin,
@@ -367,21 +500,19 @@ std::optional<RbValue> RbEngine::delivered(ProcessId origin,
   return slots_[slot].delivered_value;
 }
 
-bool RbEngine::voted(ProcessId sender, ProcessId origin, std::uint64_t tag,
-                     RbxMsg::Kind kind) const {
+std::optional<std::span<const std::byte>> RbEngine::delivered_body(
+    ProcessId origin, std::uint64_t tag) const {
   const std::uint32_t slot = find(origin, tag);
-  if (slot == kNil || sender >= params_.n) {
-    return false;
+  if (slot == kNil || !slots_[slot].has_delivered) {
+    return std::nullopt;
   }
-  switch (kind) {
-    case RbxMsg::Kind::initial:
-      return sender == origin && slots_[slot].echoed;
-    case RbxMsg::Kind::echo:
-      return echo_.voted(slot, sender);
-    case RbxMsg::Kind::ready:
-      return ready_.voted(slot, sender);
-  }
-  return false;
+  return body_at(slot, slots_[slot].delivered_value);
+}
+
+std::uint32_t RbEngine::body_count(ProcessId origin,
+                                   std::uint64_t tag) const {
+  const std::uint32_t slot = find(origin, tag);
+  return slot == kNil ? 0 : slots_[slot].body_count;
 }
 
 void RbEngine::retire_through(ProcessId origin, std::uint64_t tag) {

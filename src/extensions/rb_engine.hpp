@@ -5,15 +5,24 @@
 // extensions/reliable_broadcast.hpp (one instance), multivalued proposals
 // (one per origin), the 1987 Bracha consensus and RB-Ben-Or (one per
 // sender, round and sub-round), and the KV service in src/service/ (one
-// per client write). The engine owns all per-instance state: echo/ready
-// tallies with per-sender vote gating, the sent-echo/-ready flags, and
-// delivery, with the thresholds from core::ConsensusParams. For
+// per block of a stream's queued writes). The engine owns all
+// per-instance state: echo/ready tallies with per-sender vote gating, the
+// sent-echo/-ready flags, delivery, and (for body instances) the interned
+// value bodies, with the thresholds from core::ConsensusParams. For
 // k <= floor((n-1)/3) each instance guarantees:
 //   consistency — no two correct processes deliver different values for
 //     the same (origin, tag);
 //   totality    — if any correct process delivers, every correct process
 //     eventually delivers;
 //   validity    — a correct origin's broadcast is delivered by everyone.
+//
+// An instance's value is either a 64-bit word (RbxMsg: the consensus
+// protocols) or a byte string every message carries in full (RbxBodyMsg:
+// a KV block of packed ops, a multivalued proposal). The tallies count
+// words either way: a body instance's votes name first-come indices into
+// bodies interned with its slot, so equal index means equal bytes, with no
+// hashing, and retiring or evicting the slot frees them. One engine
+// carries one kind of instance; callers never mix the two handle()s.
 //
 // Byzantine input is bounded at every edge:
 //  - One counted vote per sender per instance and per message kind: a
@@ -28,6 +37,10 @@
 //    lane; overflow beyond that (only reachable outside the fault budget,
 //    or on a Byzantine origin's own equivocated instance) is dropped and
 //    counted (dropped_slot_overflow), never fatal.
+//  - A body is interned only for a counted vote that names a new value:
+//    the origin's one initial, and a new value taking a free echo or ready
+//    lane. So an instance holds at most 1 + 2 * lane_count() bodies, and
+//    a duplicate or overflowing vote stores nothing.
 //  - Optionally, at most `max_live_per_origin` live instances per origin,
 //    enforced anchor-aware. An instance is *anchored* once the origin's
 //    own initial has been seen (initials are identity-checked, so only
@@ -46,10 +59,14 @@
 // Storage is flat (docs/PERF.md "Quorum accounting"): instances live in a
 // preallocated slot pool indexed by an open hash on (origin, tag), and each
 // stage's votes are one core::VoteTally row per slot (gate bit per sender,
-// k + 2 first-come value lanes). Steady-state
-// handle()/retire_through() is allocation-free — the pool only reallocates
-// when the number of live instances outgrows capacity, which callers bound
-// with retirement plus the per-origin cap. This file is under the
+// k + 2 first-come value lanes). A slot's interned bodies sit in one byte
+// arena per slot, empty until the slot first holds a body instance and
+// kept, cleared, when the slot is reused — nothing is sized for bodies at
+// construction. Steady-state handle()/retire_through() is allocation-free
+// — the pool only reallocates when the number of live instances outgrows
+// capacity, which callers bound with retirement plus the per-origin cap,
+// and an arena only when a body outgrows what its slot held before. This
+// file is under the
 // [allocation] lint rule and the operator-new counting test in
 // tests/extensions/.
 #pragma once
@@ -67,11 +84,11 @@
 
 namespace rcp::ext {
 
-/// Broadcast payload: a full 64-bit word. The consensus protocols use a
-/// small alphabet — binary values, Ben-Or's "?" proposal (bottom),
-/// Bracha-87's decision proposals (2 + w) — while the KV service packs a
-/// whole (key, value) write into the word. Semantics belong to the caller;
-/// the engine only tallies equality. Each instance tallies at most
+/// Broadcast payload word. The consensus protocols use a small alphabet —
+/// binary values, Ben-Or's "?" proposal (bottom), Bracha-87's decision
+/// proposals (2 + w); a body instance's word is the index of an interned
+/// body. Semantics belong to the caller; the engine only tallies
+/// equality. Each instance tallies at most
 /// `RbEngine::lane_count()` (= k + 2) distinct values per message kind:
 /// one counted vote per sender means at most k Byzantine-introduced
 /// garbage values per kind, so a correct origin's real value always has a
@@ -81,8 +98,8 @@ inline constexpr RbValue kRbValueZero = 0;
 inline constexpr RbValue kRbValueOne = 1;
 inline constexpr RbValue kRbValueBottom = 2;
 /// Upper bound of the *consensus* alphabet — the default decode bound.
-/// Callers moving arbitrary 64-bit payloads (the KV service) pass their own
-/// bound to decode()/the engine constructor.
+/// Callers moving arbitrary 64-bit payloads pass their own bound to
+/// decode()/the engine constructor.
 inline constexpr RbValue kMaxRbValue = 3;
 /// "Any 64-bit word is a legal payload" bound for data-carrying streams.
 inline constexpr RbValue kRbValueAny = ~static_cast<RbValue>(0);
@@ -110,54 +127,94 @@ struct RbxMsg {
                                      RbValue max_value = kMaxRbValue);
 };
 
-/// Cross-instance frame coalescing: many RbxMsgs of *different* instances
-/// packed into one payload, so one network frame carries the echo/ready
-/// traffic of a whole flush interval. Wire layout:
-///   [0x2B][count u32][count x (kind u8, origin u32, tag u64, value u64)]
+/// A message of a body instance: the instance's value is `body`, carried
+/// in full by the initial, every echo and every ready. `body` views memory
+/// the caller owns for the duration of the call.
+struct RbxBodyMsg {
+  RbxMsg::Kind kind = RbxMsg::Kind::initial;
+  ProcessId origin = 0;  ///< whose broadcast this instance carries
+  std::uint64_t tag = 0; ///< caller-defined instance id
+  std::span<const std::byte> body;
+};
+
+/// The KV service's wire format: body messages of many instances packed
+/// into one payload, so one network frame carries the traffic of a whole
+/// flush interval. Each entry's body is a block of 64-bit words (packed
+/// ops), little-endian. Layout:
+///   [0x2B][count u32][count x entry]
+///   entry = kind u8, origin u32, tag u64, words u16, words x u64
 struct RbxBatch {
-  /// Distinct from the RbxMsg tag bytes (40..42) so both framings coexist
-  /// on one stream.
+  /// Distinct from the RbxMsg tag bytes (40..42).
   static constexpr std::uint8_t kTagByte = 43;
-  /// Hard cap on messages per batch; with 21-byte entries this keeps every
-  /// batch far below the transport's 1 MiB frame-body limit.
+  /// Hard cap on entries per batch.
   static constexpr std::size_t kMaxMessages = 4096;
+  /// Hard cap on a block's words, whatever bound a decoder is given.
+  static constexpr std::size_t kMaxBlockWords = 4096;
+  /// Hard cap on a batch's bytes: room for at least seven full-size
+  /// entries, and far below the transport's frame-body limit (the service
+  /// tests check the margin against net::kMaxFrameBody).
+  static constexpr std::size_t kMaxBytes = std::size_t{1} << 18;
   /// Tag byte + count.
   static constexpr std::size_t kHeaderSize = 1 + 4;
-  /// kind + origin + tag + value.
-  static constexpr std::size_t kEntrySize = 1 + 4 + 8 + 8;
+  /// kind + origin + tag + words.
+  static constexpr std::size_t kEntryHeaderSize = 1 + 4 + 8 + 2;
+
+  /// Encoded size of one entry carrying `body`.
+  [[nodiscard]] static constexpr std::size_t entry_size(
+      std::span<const std::byte> body) noexcept {
+    return kEntryHeaderSize + body.size();
+  }
 
   /// True when `payload` starts with the batch tag byte (cheap dispatch
   /// test; View still fully validates).
   [[nodiscard]] static bool is_batch(const Bytes& payload) noexcept;
 
-  /// Packs `msgs` (1..kMaxMessages of them) into one payload.
-  [[nodiscard]] static Bytes encode(std::span<const RbxMsg> msgs);
+  /// Writes the batch header for `count` entries at `out`
+  /// (kHeaderSize bytes).
+  static void put_header(std::byte* out, std::uint32_t count) noexcept;
+  /// Writes `m` as one entry at `out` (entry_size(m.body) bytes). The
+  /// body must be 1..kMaxBlockWords whole words.
+  static void put_entry(std::byte* out, const RbxBodyMsg& m) noexcept;
 
-  /// The batch decoder: validates a whole payload once, then reads each
-  /// entry straight from the payload bytes, with no copy into a buffer.
+  /// Packs `msgs` (1..kMaxMessages of them, at most kMaxBytes in all)
+  /// into one payload.
+  [[nodiscard]] static Bytes encode(std::span<const RbxBodyMsg> msgs);
+
+  /// The batch decoder: validates a whole payload once, then walks the
+  /// entries straight from the payload bytes, with no copy into a buffer.
   /// A bad entry anywhere rejects the batch before any entry is read, so
-  /// a caller never feeds part of a Byzantine frame. The view points into
-  /// `payload`, which must outlive it and stay unmodified.
+  /// a caller never feeds part of a Byzantine frame. The view (and every
+  /// body it yields) points into `payload`, which must outlive it and stay
+  /// unmodified.
   class View {
    public:
-    /// Throws DecodeError on a bad tag byte, an empty/oversized count, a
-    /// count that disagrees with the payload size, or any entry
-    /// RbxMsg::decode would reject (kind byte, value above `max_value`).
-    explicit View(const Bytes& payload, RbValue max_value = kMaxRbValue);
+    /// Throws DecodeError on a bad tag byte, a payload over kMaxBytes, an
+    /// entry count of 0 or over kMaxMessages, an entry kind above ready, a
+    /// block of 0 words or more than `max_block_words`, or entries that do
+    /// not end exactly at the payload's end.
+    View(const Bytes& payload, std::size_t max_block_words);
 
     [[nodiscard]] std::size_t size() const noexcept { return count_; }
 
-    /// Entry `i` (< size()).
-    [[nodiscard]] RbxMsg operator[](std::size_t i) const noexcept {
-      const std::byte* e = entries_ + i * kEntrySize;
-      return RbxMsg{.kind = static_cast<RbxMsg::Kind>(e[0]),
-                    .origin = load_le<std::uint32_t>(e + 1),
-                    .tag = load_le<std::uint64_t>(e + 5),
-                    .value = load_le<std::uint64_t>(e + 13)};
-    }
+    /// Forward walk over the validated entries.
+    class Iterator {
+     public:
+      [[nodiscard]] RbxBodyMsg operator*() const noexcept;
+      Iterator& operator++() noexcept;
+      [[nodiscard]] bool operator==(const Iterator&) const noexcept = default;
+
+     private:
+      friend class View;
+      explicit Iterator(const std::byte* at) noexcept : at_(at) {}
+      const std::byte* at_ = nullptr;
+    };
+
+    [[nodiscard]] Iterator begin() const noexcept { return Iterator(first_); }
+    [[nodiscard]] Iterator end() const noexcept { return Iterator(end_); }
 
    private:
-    const std::byte* entries_ = nullptr;
+    const std::byte* first_ = nullptr;
+    const std::byte* end_ = nullptr;
     std::size_t count_ = 0;
   };
 };
@@ -197,7 +254,7 @@ class RbEngine {
   struct Delivery {
     ProcessId origin = 0;
     std::uint64_t tag = 0;
-    RbValue value = kRbValueZero;
+    RbValue value = kRbValueZero;  ///< body instances: the body's index
   };
 
   /// Fixed-capacity list of the messages one handle() call can emit (at
@@ -235,6 +292,11 @@ class RbEngine {
     MsgList to_broadcast;
     /// Set when this input completed a delivery.
     std::optional<Delivery> delivered;
+    /// Body instances: the interned body every message above and the
+    /// delivery carry (one input only ever emits its own value). Empty
+    /// when nothing was emitted, and in word mode. Valid until the next
+    /// call that changes the engine.
+    std::span<const std::byte> body;
   };
 
   /// Starts our own broadcast instance: returns the initial message to
@@ -246,30 +308,40 @@ class RbEngine {
   /// (sender < n is the transport's identity guarantee).
   [[nodiscard]] Outcome handle(ProcessId sender, const RbxMsg& msg);
 
+  /// The same for a body instance: the body is interned with the
+  /// instance's slot (only for a counted vote naming a new value), and the
+  /// vote is tallied under its index. Callers bound the body's size.
+  [[nodiscard]] Outcome handle(ProcessId sender, const RbxBodyMsg& msg);
+
   /// The delivered value of a *live* instance (origin, tag), if any.
   /// Retired instances forget their delivery — long-running callers keep
-  /// their own applied state, that is the point of retiring. The KV
-  /// service's FIFO apply path queries this for a delivery that arrived
-  /// ahead of its cursor once the cursor reaches it, so an out-of-order
-  /// delivery needs no caller-side buffer; the delivery at the cursor it
-  /// applies from the Delivery itself.
+  /// their own applied state, that is the point of retiring.
   [[nodiscard]] std::optional<RbValue> delivered(ProcessId origin,
                                                  std::uint64_t tag) const;
 
-  /// Frees the instance (origin, tag) if live and drops all current and
-  /// future traffic for tags <= `tag` of `origin`: the service calls this
-  /// after applying a delivered op, so the live set stays bounded by the
-  /// origination window and late echo/ready stragglers cannot resurrect an
-  /// applied instance. Callers must retire tags of an origin in
+  /// The delivered body of a live body instance (origin, tag), if any;
+  /// valid until the next call that changes the engine. The KV service's
+  /// FIFO apply path queries this for a block that was delivered ahead of
+  /// its cursor once the cursor reaches it, so an out-of-order delivery
+  /// needs no caller-side buffer; the block at the cursor it applies from
+  /// the Outcome itself.
+  [[nodiscard]] std::optional<std::span<const std::byte>> delivered_body(
+      ProcessId origin, std::uint64_t tag) const;
+
+  /// Bodies interned by the live instance (origin, tag): at most
+  /// 1 + 2 * lane_count(); 0 when no such instance is live.
+  [[nodiscard]] std::uint32_t body_count(ProcessId origin,
+                                         std::uint64_t tag) const;
+
+  /// Frees the instance (origin, tag) if live and drops all future
+  /// traffic for tags <= `tag` of `origin`: the service calls this for
+  /// every seq of an applied block, so the live set stays bounded by the
+  /// origination window and neither late echo/ready stragglers nor a
+  /// Byzantine block overlapping the applied one stays live or comes back.
+  /// Callers must retire tags of an origin in
   /// non-decreasing order (the service applies in seq order, so this is
   /// free).
   void retire_through(ProcessId origin, std::uint64_t tag);
-
-  /// True when the live instance (origin, tag) already counted `sender`'s
-  /// vote of `kind` (for an initial: the origin's first one), so handle()
-  /// would drop a repeat. ProposalRb checks it before storing a body.
-  [[nodiscard]] bool voted(ProcessId sender, ProcessId origin,
-                           std::uint64_t tag, RbxMsg::Kind kind) const;
 
   /// Count of live instances (observability / leak checks).
   [[nodiscard]] std::size_t instance_count() const noexcept {
@@ -300,12 +372,29 @@ class RbEngine {
     RbValue delivered_value = 0;
     /// Bucket chain link while live; free-list link while free.
     std::uint32_t next = kNil;
+    /// Bodies interned in bodies_[slot] while live.
+    std::uint32_t body_count = 0;
   };
 
   [[nodiscard]] static std::uint64_t mix_key(ProcessId origin,
                                              std::uint64_t tag) noexcept;
   [[nodiscard]] std::uint32_t find(ProcessId origin,
                                    std::uint64_t tag) const noexcept;
+  /// The per-message admission both handle()s share: the retire cursor,
+  /// then the slot for (origin, tag). kNil (counted) when dropped.
+  [[nodiscard]] std::uint32_t admit(ProcessId sender, RbxMsg::Kind kind,
+                                    ProcessId origin, std::uint64_t tag);
+  /// The protocol step for `sender`'s vote of `value` of `kind` in the
+  /// admitted `slot`: fills `out`, and returns false when the vote was not
+  /// counted (a repeat, a forged initial, or no free lane).
+  bool step(std::uint32_t slot, ProcessId sender, RbxMsg::Kind kind,
+            RbValue value, Outcome& out);
+  /// Index of `body` among the slot's interned bodies; kNil if absent.
+  [[nodiscard]] std::uint32_t find_body(
+      std::uint32_t slot, std::span<const std::byte> body) const noexcept;
+  /// Body `index` (< body_count) of the slot.
+  [[nodiscard]] std::span<const std::byte> body_at(
+      std::uint32_t slot, RbValue index) const noexcept;
   /// Finds or allocates the slot for (origin, tag); grows the pool when
   /// the free list is empty. `anchored` marks creation by the origin's
   /// own initial (promotes an existing unanchored instance, and may evict
@@ -339,6 +428,9 @@ class RbEngine {
   /// and lanes_ first-come value lanes.
   core::VoteTally<RbValue> echo_;
   core::VoteTally<RbValue> ready_;
+  /// bodies_[slot]: the slot's interned bodies, each a u32 length and its
+  /// bytes, in index order. Grown on first use, kept across reuse.
+  std::vector<std::vector<std::byte>> bodies_;
   /// retired_below_[origin] = smallest tag of `origin` still accepted.
   std::vector<std::uint64_t> retired_below_;
   /// Live instances per origin, against max_live_per_origin_.

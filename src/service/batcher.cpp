@@ -4,27 +4,34 @@
 
 namespace rcp::service {
 
-void RbxBatcher::queue_broadcast(Context& ctx, const ext::RbxMsg& m) {
-  lane_.push_back(m);
-  if (lane_.size() >= ext::RbxBatch::kMaxMessages) {
+using ext::RbxBatch;
+
+void RbxBatcher::queue_broadcast(Context& ctx, const ext::RbxBodyMsg& m) {
+  const std::size_t size = RbxBatch::entry_size(m.body);
+  if (entries_ > 0 && lane_.size() + size > RbxBatch::kMaxBytes) {
+    flush(ctx);
+  }
+  if (entries_ == 0) {
+    lane_.resize(RbxBatch::kHeaderSize);
+  }
+  const std::size_t at = lane_.size();
+  lane_.resize(at + size);
+  RbxBatch::put_entry(lane_.data() + at, m);
+  if (++entries_ == RbxBatch::kMaxMessages) {
     flush(ctx);
   }
 }
 
 void RbxBatcher::flush(Context& ctx) {
-  if (lane_.empty()) {
+  if (entries_ == 0) {
     return;
   }
-  if (lane_.size() == 1) {
-    // A one-message batch would only add framing overhead.
-    ++stats_.unbatched_msgs;
-    ctx.broadcast(lane_[0].encode());
-  } else {
-    ++stats_.batches;
-    stats_.batched_msgs += lane_.size();
-    ctx.broadcast(ext::RbxBatch::encode(std::span<const ext::RbxMsg>(lane_)));
-  }
+  RbxBatch::put_header(lane_.data(), entries_);
+  ++stats_.batches;
+  stats_.batched_msgs += entries_;
+  ctx.broadcast(Bytes(std::span<const std::byte>(lane_)));
   lane_.clear();
+  entries_ = 0;
 }
 
 }  // namespace rcp::service

@@ -25,12 +25,15 @@ SimLoadgenResult run_sim_loadgen(const SimLoadgenConfig& cfg) {
   out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   out.all_ok = true;
   std::vector<double> latencies;
+  std::uint64_t submitted = 0;
+  std::uint64_t blocks = 0;
   for (const SimServiceResult& g : group_results) {
     out.total_ops += g.ops;
     out.messages_delivered += g.messages_delivered;
     out.batches += g.batches;
     out.batched_msgs += g.batched_msgs;
-    out.unbatched_msgs += g.unbatched_msgs;
+    submitted += g.ops_submitted;
+    blocks += g.blocks_originated;
     if (g.status != sim::RunStatus::all_decided || !g.matches_reference) {
       out.all_ok = false;
     }
@@ -43,6 +46,10 @@ SimLoadgenResult run_sim_loadgen(const SimLoadgenConfig& cfg) {
   if (out.total_ops > 0) {
     out.frames_per_op = static_cast<double>(out.messages_delivered) /
                         static_cast<double>(out.total_ops);
+  }
+  if (blocks > 0) {
+    out.ops_per_block =
+        static_cast<double>(submitted) / static_cast<double>(blocks);
   }
   if (!latencies.empty()) {
     out.p50_ms = quantile(latencies, 0.50);

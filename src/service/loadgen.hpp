@@ -32,7 +32,8 @@ struct SimLoadgenResult {
   double frames_per_op = 0;
   std::uint64_t batches = 0;
   std::uint64_t batched_msgs = 0;
-  std::uint64_t unbatched_msgs = 0;
+  /// Own ops per own block originated, over every correct replica.
+  double ops_per_block = 0;
   /// Every group decided and its correct digests matched.
   bool all_ok = false;
 };

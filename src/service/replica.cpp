@@ -13,12 +13,14 @@ KvReplica::KvReplica(ReplicaConfig cfg, std::shared_ptr<OpSource> source)
       next_seq_(cfg.shards, 0),
       inflight_(cfg.shards, 0),
       next_apply_(static_cast<std::size_t>(cfg.params.n) * cfg.shards, 0),
-      ahead_(next_apply_.size(), 0),
       applied_from_(cfg.params.n, 0) {
   step_affinity_.assert_held();  // constructing thread is the first driver
   RCP_EXPECT(cfg_.shards >= 1 && cfg_.shards < (1u << kShardBits),
              "KvReplica: shard count out of tag range");
   RCP_EXPECT(source_ != nullptr, "KvReplica: null op source");
+  RCP_EXPECT(cfg_.window >= 1 && cfg_.window <= ext::RbxBatch::kMaxBlockWords,
+             "KvReplica: window must fit one block");
+  block_.resize(std::size_t{cfg_.window} * 8);
   const std::uint32_t hint = cfg_.params.n * cfg_.window;
   // Per-origin live-instance cap: a DoS backstop against Byzantine phantom
   // (origin, seq) spray, enforced anchor-aware inside the engine so real
@@ -79,17 +81,30 @@ std::size_t KvReplica::live_instances() const {
 }
 
 void KvReplica::pull(Context& ctx, std::uint32_t shard) {
-  while (inflight_[shard] < cfg_.window) {
+  // Every op already queued for the stream, up to the free part of the
+  // window, goes out as one block.
+  std::size_t count = 0;
+  while (inflight_[shard] + count < cfg_.window) {
     const std::optional<KvOp> op = source_->next(shard);
     if (!op.has_value()) {
-      return;
+      break;
     }
-    const std::uint64_t tag = make_tag(shard, next_seq_[shard]++);
-    ++inflight_[shard];
-    ++counters_.ops_submitted;
-    batcher_.queue_broadcast(
-        ctx, engines_[shard].start(self_, tag, pack_op(*op)));
+    store_le(block_.data() + count * 8, pack_op(*op));
+    ++count;
   }
+  if (count == 0) {
+    return;
+  }
+  const std::uint64_t tag = make_tag(shard, next_seq_[shard]);
+  next_seq_[shard] += count;
+  inflight_[shard] += static_cast<std::uint32_t>(count);
+  counters_.ops_submitted += count;
+  ++counters_.blocks_originated;
+  batcher_.queue_broadcast(
+      ctx, ext::RbxBodyMsg{.kind = ext::RbxMsg::Kind::initial,
+                           .origin = self_,
+                           .tag = tag,
+                           .body = std::span(block_).first(count * 8)});
 }
 
 void KvReplica::pull_all(Context& ctx) {
@@ -116,17 +131,12 @@ void KvReplica::on_null(Context& ctx) {
 void KvReplica::on_message(Context& ctx, const Envelope& env) {
   step_affinity_.assert_held();
   try {
-    if (ext::RbxBatch::is_batch(env.payload)) {
-      // Validated whole before the first feed: a bad entry anywhere
-      // drops the batch. The envelope outlives the loop.
-      const ext::RbxBatch::View batch(env.payload, ext::kRbValueAny);
-      ++counters_.batches_decoded;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        feed(ctx, env.sender, batch[i]);
-      }
-    } else {
-      feed(ctx, env.sender,
-           ext::RbxMsg::decode(env.payload, ext::kRbValueAny));
+    // Validated whole before the first feed: a bad entry anywhere drops
+    // the batch. The envelope outlives the loop.
+    const ext::RbxBatch::View batch(env.payload, cfg_.window);
+    ++counters_.batches_decoded;
+    for (const ext::RbxBodyMsg& msg : batch) {
+      feed(ctx, env.sender, msg);
     }
   } catch (const DecodeError&) {
     // Byzantine bytes: drop the payload, count it, stay alive.
@@ -140,7 +150,8 @@ void KvReplica::on_message(Context& ctx, const Envelope& env) {
   batcher_.flush(ctx);
 }
 
-void KvReplica::feed(Context& ctx, ProcessId sender, const ext::RbxMsg& msg) {
+void KvReplica::feed(Context& ctx, ProcessId sender,
+                     const ext::RbxBodyMsg& msg) {
   const std::uint32_t shard = shard_of(msg.tag);
   if (shard >= cfg_.shards) {
     ++counters_.dropped_bad_shard;
@@ -158,71 +169,83 @@ void KvReplica::feed(Context& ctx, ProcessId sender, const ext::RbxMsg& msg) {
   ++counters_.msgs_decoded;
   const ext::RbEngine::Outcome out = engines_[shard].handle(sender, msg);
   for (const ext::RbxMsg& reply : out.to_broadcast) {
-    batcher_.queue_broadcast(ctx, reply);
+    batcher_.queue_broadcast(ctx, ext::RbxBodyMsg{.kind = reply.kind,
+                                                  .origin = reply.origin,
+                                                  .tag = reply.tag,
+                                                  .body = out.body});
   }
   if (out.delivered.has_value()) {
     ++counters_.deliveries;
-    on_delivered(ctx, shard, *out.delivered);
+    on_delivered(ctx, shard, out.delivered->origin, out.delivered->tag,
+                 out.body);
   }
 }
 
 void KvReplica::on_delivered(Context& ctx, std::uint32_t shard,
-                             const ext::RbEngine::Delivery& d) {
-  const std::uint32_t stream = stream_of(d.origin, shard);
-  std::uint64_t seq = seq_of(d.tag);
-  if (seq != next_apply_[stream]) {
-    // Delivered ahead of the cursor (behind is impossible — applied tags
-    // are retired). The instance stays live in the engine with its value
-    // queryable, so nothing is buffered replica-side and nothing can be
-    // shed: whether an op applies depends only on the cursor, never on
-    // local arrival order, which is what keeps correct replicas on
-    // identical per-stream prefixes. Only the count is kept, so the apply
-    // below asks the engine for the next seq only when one is waiting.
-    ++ahead_[stream];
+                             ProcessId origin, std::uint64_t tag,
+                             std::span<const std::byte> block) {
+  const std::uint32_t stream = stream_of(origin, shard);
+  if (seq_of(tag) != next_apply_[stream]) {
+    // Delivered ahead of the cursor (behind is impossible — every seq of
+    // an applied block is retired, so a tag below the cursor, or inside
+    // an applied block, never delivers here). The instance stays live in
+    // the engine with its block queryable, so nothing is buffered
+    // replica-side and nothing can be shed: whether a block applies
+    // depends only on the cursor, never on local arrival order, which is
+    // what keeps correct replicas on identical per-stream prefixes.
     ++counters_.deferred_deliveries;
     return;
   }
-  // FIFO barrier: apply the contiguous run starting at the cursor. The
-  // first value is the one just delivered; each later one is a deferred
-  // delivery, found by querying the engine while ahead_ says one waits.
-  ext::RbEngine& engine = engines_[shard];
-  ext::RbValue word = d.value;
+  // FIFO barrier: apply the chain of blocks starting at the cursor. The
+  // first is the one just delivered; each later one is a block delivered
+  // earlier at what is now the cursor.
+  const ext::RbEngine& engine = engines_[shard];
   for (;;) {
-    const KvOp op = unpack_op(word);
-    ++next_apply_[stream];
-    writes_.push_back(KvStore::Write{stream, seq, op});
-    ++counters_.ops_applied;
-    engine.retire_through(d.origin, make_tag(shard, seq));
-    if (d.origin == self_) {
-      ++counters_.own_ops_applied;
-      if (inflight_[shard] > 0) {
-        --inflight_[shard];
-      }
-      if (apply_hook_) {
-        apply_hook_(shard, seq, op);
-      }
-    }
-    if (!cfg_.expected_per_origin.empty() &&
-        d.origin < cfg_.expected_per_origin.size()) {
-      if (++applied_from_[d.origin] ==
-              cfg_.expected_per_origin[d.origin] &&
-          cfg_.expected_per_origin[d.origin] > 0) {
-        if (--origins_remaining_ == 0) {
-          ctx.decide(Value::one);
-        }
-      }
-    }
-    if (ahead_[stream] == 0) {
-      return;
-    }
-    ++seq;
-    const std::optional<ext::RbValue> next =
-        engine.delivered(d.origin, make_tag(shard, seq));
+    apply_block(ctx, shard, origin, block);
+    const auto next =
+        engine.delivered_body(origin, make_tag(shard, next_apply_[stream]));
     if (!next.has_value()) {
       return;
     }
-    --ahead_[stream];
-    word = *next;
+    block = *next;
+  }
+}
+
+void KvReplica::apply_block(Context& ctx, std::uint32_t shard,
+                            ProcessId origin,
+                            std::span<const std::byte> block) {
+  const std::uint32_t stream = stream_of(origin, shard);
+  const std::uint64_t first = next_apply_[stream];
+  const std::uint64_t count = block.size() / 8;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const KvOp op = unpack_op(load_le<std::uint64_t>(block.data() + i * 8));
+    writes_.push_back(KvStore::Write{stream, first + i, op});
+    if (origin == self_ && apply_hook_) {
+      apply_hook_(shard, first + i, op);
+    }
+  }
+  // Retired only now: the block's bytes live in its instance's slot.
+  // Every seq the block covers is retired, so a Byzantine block tagged
+  // inside it is freed if live and dropped if it comes later.
+  ext::RbEngine& engine = engines_[shard];
+  for (std::uint64_t i = 0; i < count; ++i) {
+    engine.retire_through(origin, make_tag(shard, first + i));
+  }
+  next_apply_[stream] = first + count;
+  counters_.ops_applied += count;
+  if (origin == self_) {
+    counters_.own_ops_applied += count;
+    inflight_[shard] -= static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(count, inflight_[shard]));
+  }
+  if (origin < cfg_.expected_per_origin.size()) {
+    const std::uint64_t expected = cfg_.expected_per_origin[origin];
+    const std::uint64_t before = applied_from_[origin];
+    applied_from_[origin] = before + count;
+    if (expected > 0 && before < expected && before + count >= expected &&
+        --origins_remaining_ == 0) {
+      ctx.decide(Value::one);
+    }
   }
 }
 

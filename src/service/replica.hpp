@@ -1,21 +1,27 @@
 // KvReplica — one replica of the consensus-backed KV service.
 //
-// Every client write is one Bracha-broadcast instance in a multiplexed
-// ext::RbEngine: the owner replica originates initial(tag, packed-op), the
-// mesh echoes and readies, and each replica applies the op to its KvStore
-// when the instance delivers *and* every earlier op of the same origin
-// stream has been applied (the per-stream FIFO barrier — delivery order
-// across instances is asynchronous, apply order is not). Out-of-order
-// deliveries wait inside the engine, and only a per-stream count of them
-// lives here: when the cursor's own delivery arrives, its value applies
-// straight from the Delivery and delivered() is queried for the next seqs
-// only while that count is non-zero. Applied instances are retired at
-// once; their store writes are queued and reach the KvStore in one
-// apply_all() at the end of each on_message (docs/SERVICE.md "FIFO
-// barrier"). The engine's anchor-aware per-origin instance caps bound
-// what Byzantine phantom spray can occupy without ever dropping real
-// protocol votes — lost votes are never retransmitted, so receipt-time
-// shedding of legitimate traffic is the one thing this layer must not do.
+// Client writes travel in blocks: when a replica originates on a shard, it
+// packs every op already queued for that stream, up to the free part of
+// its origination window, into one block and broadcasts the block as one
+// Bracha instance of a multiplexed ext::RbEngine, tagged with the block's
+// first seq. The initial, every echo and every ready carry the block's op
+// bytes; the engine interns them per instance. A block holds only ops
+// already queued, so no write waits for a block to fill. Each replica
+// applies a block when its instance delivers *and* every earlier op of the
+// same origin stream has been applied (the per-stream FIFO barrier —
+// delivery order across instances is asynchronous, apply order is not):
+// the block's ops apply in seq order, one store write, apply-hook call and
+// retire_through() each, and the cursor moves past the block. Out-of-order
+// deliveries wait inside the engine: when the cursor's own block applies,
+// the engine is asked for a block delivered at the new cursor, and so on.
+// A block whose tag lies below the cursor or inside an applied block —
+// only a Byzantine origin sends one — is retired unapplied. The store
+// writes of one step are queued and reach the KvStore in one apply_all()
+// at the end of each on_message (docs/SERVICE.md "FIFO barrier"). The
+// engine's anchor-aware per-origin instance caps bound what Byzantine
+// phantom spray can occupy without ever dropping real protocol votes —
+// lost votes are never retransmitted, so receipt-time shedding of
+// legitimate traffic is the one thing this layer must not do.
 //
 // Sharding: the 64-bit instance tag is (shard << 48) | seq; each shard has
 // its own engine, its own seq space and its own origination window, so
@@ -32,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -92,9 +99,10 @@ class VectorOpSource : public OpSource {
 struct ReplicaConfig {
   core::ConsensusParams params;
   std::uint32_t shards = 1;
-  /// Max own ops in flight (originated, not yet applied) per shard. Each
-  /// shard engine's pool hint is n * window, and its per-origin instance
-  /// cap max(65536, window * 1024) (see KvReplica's constructor).
+  /// Max own ops in flight (originated, not yet applied) per shard, and
+  /// so the most ops one block can hold (1..RbxBatch::kMaxBlockWords).
+  /// Each shard engine's pool hint is n * window, and its per-origin
+  /// instance cap max(65536, window * 1024) (see KvReplica's constructor).
   std::uint32_t window = 64;
   /// Retain per-stream op logs in the KvStore (test prefix checks).
   bool keep_log = false;
@@ -107,10 +115,12 @@ struct ReplicaConfig {
 
 struct ReplicaCounters {
   std::uint64_t ops_submitted = 0;     ///< own ops originated
+  std::uint64_t blocks_originated = 0; ///< own blocks (instances) started
   std::uint64_t ops_applied = 0;       ///< ops applied (all origins)
   std::uint64_t own_ops_applied = 0;
-  std::uint64_t deliveries = 0;        ///< engine deliveries observed
-  std::uint64_t deferred_deliveries = 0; ///< delivered ahead of the cursor
+  std::uint64_t deliveries = 0;        ///< engine deliveries (blocks)
+  std::uint64_t deferred_deliveries = 0; ///< blocks delivered ahead of the
+                                         ///< cursor
   std::uint64_t batches_decoded = 0;
   std::uint64_t msgs_decoded = 0;      ///< RbxMsgs fed to engines
   std::uint64_t decode_errors = 0;     ///< malformed payloads dropped
@@ -171,10 +181,15 @@ class KvReplica final : public Process {
  private:
   void pull(Context& ctx, std::uint32_t shard) RCP_REQUIRES(step_affinity_);
   void pull_all(Context& ctx) RCP_REQUIRES(step_affinity_);
-  void feed(Context& ctx, ProcessId sender, const ext::RbxMsg& msg)
+  void feed(Context& ctx, ProcessId sender, const ext::RbxBodyMsg& msg)
       RCP_REQUIRES(step_affinity_);
-  void on_delivered(Context& ctx, std::uint32_t shard,
-                    const ext::RbEngine::Delivery& d)
+  void on_delivered(Context& ctx, std::uint32_t shard, ProcessId origin,
+                    std::uint64_t tag, std::span<const std::byte> block)
+      RCP_REQUIRES(step_affinity_);
+  /// Applies `block`, the block at the stream's cursor, op by op and
+  /// retires every seq it covers.
+  void apply_block(Context& ctx, std::uint32_t shard, ProcessId origin,
+                   std::span<const std::byte> block)
       RCP_REQUIRES(step_affinity_);
   [[nodiscard]] std::uint32_t stream_of(ProcessId origin,
                                         std::uint32_t shard) const noexcept {
@@ -201,9 +216,9 @@ class KvReplica final : public Process {
   /// Out-of-order deliveries stay live (and queryable) in the engine until
   /// the cursor reaches them — there is no replica-side pending buffer.
   std::vector<std::uint64_t> next_apply_ RCP_GUARDED_BY(step_affinity_);
-  /// ahead_[stream]: deliveries of the stream past its cursor, not yet
-  /// applied. A count, not a buffer: the values stay in the engine.
-  std::vector<std::uint32_t> ahead_ RCP_GUARDED_BY(step_affinity_);
+  /// The packed ops of the block being originated: window words, sized at
+  /// construction.
+  std::vector<std::byte> block_ RCP_GUARDED_BY(step_affinity_);
   /// Store writes of the ops applied during this on_message, handed to
   /// the KvStore in one apply_all() at its end. Reserved at construction
   /// and only ever cleared.

@@ -95,6 +95,7 @@ SimServiceResult run_sim_service(const SimServiceConfig& cfg) {
     KvAdversaryConfig ac;
     ac.params = cfg.params;
     ac.shards = cfg.shards;
+    ac.window = cfg.window;
     switch (cfg.adversary) {
       case KvAdversaryKind::equivocator:
         processes.push_back(std::make_unique<KvEquivocator>(ac));
@@ -163,7 +164,8 @@ SimServiceResult run_sim_service(const SimServiceConfig& cfg) {
         std::min(result.ops_applied_min, r.counters().ops_applied);
     result.batches += r.batcher_stats().batches;
     result.batched_msgs += r.batcher_stats().batched_msgs;
-    result.unbatched_msgs += r.batcher_stats().unbatched_msgs;
+    result.ops_submitted += r.counters().ops_submitted;
+    result.blocks_originated += r.counters().blocks_originated;
     result.decode_errors += r.counters().decode_errors;
     const ext::RbEngineStats es = r.engine_stats();
     result.engine_drops += es.dropped_origin_range + es.dropped_value_range +
@@ -171,6 +173,21 @@ SimServiceResult run_sim_service(const SimServiceConfig& cfg) {
                            es.dropped_slot_overflow + es.dropped_origin_flood;
     result.admission_drops +=
         r.counters().dropped_bad_shard + r.counters().dropped_bad_origin;
+  }
+  // Byzantine streams: with logs kept, every two correct replicas' logs of
+  // one stream must be prefixes of one another — one block per tag, and
+  // one chain of blocks, everywhere.
+  result.byzantine_prefixes_agree = true;
+  for (std::uint32_t stream = workload.correct * cfg.shards;
+       cfg.keep_log && stream < cfg.params.n * cfg.shards; ++stream) {
+    for (ProcessId p = 1; p < workload.correct; ++p) {
+      const auto& a = replicas[0]->store().stream_log(stream);
+      const auto& b = replicas[p]->store().stream_log(stream);
+      const std::size_t common = std::min(a.size(), b.size());
+      if (!std::equal(a.begin(), a.begin() + common, b.begin())) {
+        result.byzantine_prefixes_agree = false;
+      }
+    }
   }
   result.reference_digest = correct_stream_digest(
       reference_store(workload), workload.correct, cfg.shards);

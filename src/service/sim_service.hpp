@@ -54,10 +54,16 @@ struct SimServiceResult {
   std::uint64_t reference_digest = 0;
   /// Every entry of correct_digests equals reference_digest.
   bool matches_reference = false;
+  /// With keep_log: the correct replicas' logs of every Byzantine stream
+  /// are prefixes of one another (vacuously true without logs).
+  bool byzantine_prefixes_agree = false;
   /// Batching totals over correct replicas.
   std::uint64_t batches = 0;
   std::uint64_t batched_msgs = 0;
-  std::uint64_t unbatched_msgs = 0;
+  /// Own ops and own blocks originated, summed over correct replicas:
+  /// their ratio is the mean block size.
+  std::uint64_t ops_submitted = 0;
+  std::uint64_t blocks_originated = 0;
   std::uint64_t decode_errors = 0;
   std::uint64_t engine_drops = 0;  ///< origin/value/retired/dup/overflow/flood
   /// Replica-level pre-engine drops: bad shard, bad origin.

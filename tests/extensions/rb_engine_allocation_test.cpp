@@ -14,9 +14,11 @@
 // instrument as tests/core/echo_allocation_test.cpp, different binary).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,26 +97,78 @@ TEST(RbEngineAllocation, SteadyStateDispatchIsAllocationFree) {
   EXPECT_EQ(e.stats().grows, 0u);
 }
 
+/// drive_instance for a body instance: one KV block of `words` ops.
+void drive_block(RbEngine& e, ProcessId origin, std::uint64_t tag,
+                 std::span<const std::byte> block) {
+  const auto msg = [&](RbxMsg::Kind kind) {
+    return RbxBodyMsg{.kind = kind, .origin = origin, .tag = tag, .body = block};
+  };
+  (void)e.handle(origin, msg(RbxMsg::Kind::initial));
+  for (ProcessId p = 0; p < kParams.n; ++p) {
+    (void)e.handle(p, msg(RbxMsg::Kind::echo));
+  }
+  bool delivered = false;
+  for (ProcessId p = 0; p < kParams.n; ++p) {
+    delivered = delivered ||
+                e.handle(p, msg(RbxMsg::Kind::ready)).delivered.has_value();
+  }
+  ASSERT_TRUE(delivered);
+  ASSERT_EQ(e.body_count(origin, tag), 1u);
+  e.retire_through(origin, tag);
+}
+
+TEST(RbEngineAllocation, SteadyStateBlockDispatchIsAllocationFree) {
+  // Body instances intern their block in the slot's arena; a reused slot
+  // keeps the arena's capacity, so once every slot in use has held a
+  // block as large as the ones it holds later, nothing allocates.
+  RbEngine e(kParams, /*capacity_hint=*/64);
+  std::array<std::byte, 64 * 8> block{};
+  std::uint64_t tag = 0;
+  const auto round = [&] {
+    for (ProcessId origin = 0; origin < kParams.n; ++origin) {
+      store_le(block.data(), tag * kParams.n + origin);
+      drive_block(e, origin, tag, block);
+    }
+    ++tag;
+  };
+  for (int i = 0; i < 16; ++i) {
+    round();
+  }
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 200; ++i) {
+    round();
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u)
+      << "warm body handle()/retire_through() must not touch the heap";
+  EXPECT_EQ(e.instance_count(), 0u);
+}
+
 TEST(RbEngineAllocation, BatchViewIsAllocationFree) {
-  std::vector<RbxMsg> msgs;
+  std::vector<std::vector<std::byte>> blocks;
+  std::vector<RbxBodyMsg> msgs;
+  blocks.reserve(32);
   for (std::uint32_t i = 0; i < 32; ++i) {
-    msgs.push_back(RbxMsg{.kind = RbxMsg::Kind::echo,
-                          .origin = i % kParams.n,
-                          .tag = i,
-                          .value = i});
+    std::vector<std::byte>& b = blocks.emplace_back(8 * (1 + i % 4));
+    store_le(b.data(), std::uint64_t{i});
+    msgs.push_back(RbxBodyMsg{.kind = RbxMsg::Kind::echo,
+                              .origin = i % kParams.n,
+                              .tag = i,
+                              .body = b});
   }
   const Bytes frame = RbxBatch::encode(msgs);
   std::uint64_t tags = 0;
+  std::uint64_t words = 0;
   const std::uint64_t before = g_allocations.load();
   for (int round = 0; round < 100; ++round) {
-    const RbxBatch::View batch(frame, kRbValueAny);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      tags += batch[i].tag;
+    for (const RbxBodyMsg& m : RbxBatch::View(frame, 64)) {
+      tags += m.tag;
+      words += m.body.size() / 8;
     }
   }
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "validating and reading a batch must not touch the heap";
   EXPECT_EQ(tags, 100u * (31u * 32u / 2));
+  EXPECT_EQ(words, 100u * 8u * (1 + 2 + 3 + 4));
 }
 
 TEST(RbEngineAllocation, ReliableBroadcastMessageHandlingIsAllocationFree) {

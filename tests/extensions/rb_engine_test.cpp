@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <optional>
+#include <span>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace rcp::ext {
@@ -405,6 +411,90 @@ TEST(RbEngine, SlotReuseAfterRetireDoesNotLeakTallies) {
   }
   const auto out = e.handle(4, echo(5, 9, kRbValueOne));
   ASSERT_EQ(out.to_broadcast.size(), 1u);  // exactly at the echo threshold
+}
+
+// ---- Body instances --------------------------------------------------
+
+/// A one-byte-per-call body store: every body a test hands the engine.
+std::vector<std::byte> body_of(std::initializer_list<int> bytes) {
+  std::vector<std::byte> out;
+  for (const int b : bytes) {
+    out.push_back(static_cast<std::byte>(b));
+  }
+  return out;
+}
+
+RbxBodyMsg body_msg(RbxMsg::Kind kind, ProcessId origin, std::uint64_t tag,
+                    std::span<const std::byte> body) {
+  return RbxBodyMsg{.kind = kind, .origin = origin, .tag = tag, .body = body};
+}
+
+TEST(RbEngine, BodyInstanceDeliversItsBytes) {
+  RbEngine e(kParams);
+  const std::vector<std::byte> block = body_of({1, 2, 3, 4, 5, 6, 7, 8});
+  const auto init = e.handle(6, body_msg(RbxMsg::Kind::initial, 6, 9, block));
+  ASSERT_EQ(init.to_broadcast.size(), 1u);
+  EXPECT_EQ(init.to_broadcast[0].kind, RbxMsg::Kind::echo);
+  EXPECT_TRUE(std::ranges::equal(init.body, block));
+  for (ProcessId p = 0; p < kParams.n; ++p) {
+    // Equal bytes from another buffer intern to the same body.
+    const std::vector<std::byte> copy = block;
+    (void)e.handle(p, body_msg(RbxMsg::Kind::echo, 6, 9, copy));
+  }
+  std::optional<RbEngine::Delivery> delivered;
+  for (ProcessId p = 0; p < kParams.n && !delivered; ++p) {
+    const auto out = e.handle(p, body_msg(RbxMsg::Kind::ready, 6, 9, block));
+    if (out.delivered.has_value()) {
+      delivered = out.delivered;
+      EXPECT_TRUE(std::ranges::equal(out.body, block));
+    }
+  }
+  ASSERT_TRUE(delivered.has_value());
+  EXPECT_EQ(e.body_count(6, 9), 1u);
+  const auto stored = e.delivered_body(6, 9);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_TRUE(std::ranges::equal(*stored, block));
+  EXPECT_FALSE(e.delivered_body(6, 10).has_value());
+  e.retire_through(6, 9);
+  EXPECT_EQ(e.body_count(6, 9), 0u);
+  EXPECT_EQ(e.instance_count(), 0u);
+}
+
+TEST(RbEngine, BodyInstanceInternsAtMostOnePlusTwoLanes) {
+  // Every sender — far past the fault budget — votes a body of its own in
+  // both stages, then repeats with yet other bodies, and the origin sends
+  // its initial with another. Only counted votes naming a new value store
+  // a body: the initial and lane_count() new values per stage.
+  RbEngine e(kParams);
+  std::vector<std::vector<std::byte>> bodies;
+  for (int i = 0; i < 64; ++i) {
+    bodies.push_back(body_of({i, i + 1, i + 2}));
+  }
+  std::size_t next = 0;
+  (void)e.handle(0, body_msg(RbxMsg::Kind::initial, 0, 0, bodies[next++]));
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    for (ProcessId p = 0; p < kParams.n; ++p) {
+      (void)e.handle(p, body_msg(RbxMsg::Kind::echo, 0, 0, bodies[next++]));
+      (void)e.handle(p, body_msg(RbxMsg::Kind::ready, 0, 0, bodies[next++]));
+    }
+  }
+  EXPECT_EQ(e.body_count(0, 0), 1 + 2 * e.lane_count());
+  EXPECT_GT(e.stats().dropped_slot_overflow, 0u);
+  EXPECT_GT(e.stats().dropped_sender_dup, 0u);
+}
+
+TEST(RbEngine, ForgedAndRepeatedBodyVotesStoreNothing) {
+  RbEngine e(kParams);
+  const std::vector<std::byte> a = body_of({1});
+  const std::vector<std::byte> b = body_of({2});
+  (void)e.handle(1, body_msg(RbxMsg::Kind::initial, 0, 0, a));  // forged
+  EXPECT_EQ(e.body_count(0, 0), 0u);
+  (void)e.handle(1, body_msg(RbxMsg::Kind::echo, 0, 0, a));
+  (void)e.handle(1, body_msg(RbxMsg::Kind::echo, 0, 0, b));  // repeat vote
+  EXPECT_EQ(e.body_count(0, 0), 1u);
+  (void)e.handle(0, body_msg(RbxMsg::Kind::initial, 0, 0, a));
+  (void)e.handle(0, body_msg(RbxMsg::Kind::initial, 0, 0, b));  // second
+  EXPECT_EQ(e.body_count(0, 0), 1u);
 }
 
 }  // namespace

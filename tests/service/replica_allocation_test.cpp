@@ -1,9 +1,10 @@
 // Allocation contract of the KV replica's apply path (docs/SERVICE.md
-// "FIFO barrier"): once warm, a step that delivers and applies ops — the
-// FIFO barrier, the deferred-delivery walk, instance retirement and the
-// batched store write — touches no heap. The write buffer is reserved at
-// construction and only cleared; the store table stops growing once the
-// key set is warm.
+// "FIFO barrier"): once warm, a step that delivers and applies blocks —
+// the FIFO barrier, the deferred-delivery walk, instance retirement and
+// the batched store write — touches no heap. The write buffer is reserved
+// at construction and only cleared; the store table stops growing once
+// the key set is warm; and a reused engine slot keeps the capacity its
+// block body needed before.
 //
 // The binary-wide operator new override counts every allocation (same
 // instrument as tests/extensions/rb_engine_allocation_test.cpp, different
@@ -43,30 +44,41 @@ namespace rcp::service {
 namespace {
 
 using ext::RbxBatch;
+using ext::RbxBodyMsg;
 using ext::RbxMsg;
 
 constexpr std::uint32_t kN = 7;
 constexpr std::uint32_t kShards = 2;
 constexpr std::uint32_t kWindow = 64;
+constexpr std::uint32_t kBlockOps = 4;
+constexpr std::uint32_t kBlocksPerRound = kWindow / kBlockOps;
 constexpr ProcessId kOrigins[] = {2, 3};
 
-/// One ready from every stream of kOrigins for the seqs of `round`, the
-/// highest seq first, so every delivery but the cursor's arrives ahead of
-/// the cursor and waits in the engine.
+/// One ready from every stream of kOrigins for the blocks of `round`
+/// (kBlockOps ops each, a window per stream), the highest seq first, so
+/// every delivery but the cursor's arrives ahead of the cursor and waits
+/// in the engine.
 Bytes ready_batch(std::uint64_t round) {
-  std::vector<RbxMsg> msgs;
-  for (std::uint64_t i = kWindow; i-- > 0;) {
-    const std::uint64_t seq = round * kWindow + i;
+  std::vector<std::vector<std::byte>> blocks;
+  std::vector<RbxBodyMsg> msgs;
+  blocks.reserve(kBlocksPerRound * std::size(kOrigins) * kShards);
+  for (std::uint64_t b = kBlocksPerRound; b-- > 0;) {
+    const std::uint64_t first = round * kWindow + b * kBlockOps;
     for (const ProcessId origin : kOrigins) {
       for (std::uint32_t shard = 0; shard < kShards; ++shard) {
-        msgs.push_back(RbxMsg{
-            .kind = RbxMsg::Kind::ready,
-            .origin = origin,
-            .tag = make_tag(shard, seq),
-            // 32 keys per stream: the store's key set is warm after one
-            // round, so later rounds only overwrite.
-            .value = pack_op(KvOp{.key = static_cast<std::uint32_t>(seq % 32),
-                                  .value = static_cast<std::uint32_t>(seq)})});
+        std::vector<std::byte>& block = blocks.emplace_back(kBlockOps * 8);
+        for (std::uint64_t i = 0; i < kBlockOps; ++i) {
+          const std::uint64_t seq = first + i;
+          // 32 keys per stream: the store's key set is warm after one
+          // round, so later rounds only overwrite.
+          store_le(block.data() + i * 8,
+                   pack_op(KvOp{.key = static_cast<std::uint32_t>(seq % 32),
+                                .value = static_cast<std::uint32_t>(seq)}));
+        }
+        msgs.push_back(RbxBodyMsg{.kind = RbxMsg::Kind::ready,
+                                  .origin = origin,
+                                  .tag = make_tag(shard, first),
+                                  .body = block});
       }
     }
   }
@@ -117,7 +129,7 @@ TEST(KvReplicaAllocation, WarmApplyPathIsAllocationFree) {
   const std::uint64_t streams = std::size(kOrigins) * kShards;
   EXPECT_EQ(replica.counters().ops_applied, kRounds * kWindow * streams);
   EXPECT_EQ(replica.counters().deferred_deliveries,
-            kRounds * (kWindow - 1) * streams);
+            kRounds * (kBlocksPerRound - 1) * streams);
   EXPECT_EQ(replica.live_instances(), 0u);
 }
 
